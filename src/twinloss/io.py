@@ -76,14 +76,13 @@ def write_histogram_csv(path, hist: Histogram) -> None:
 
 
 def read_histogram_csv(path) -> Histogram:
-    """Read a ``m,n,count`` grid; the grid spans the largest indices present."""
+    """Read a ``m,n,count`` grid holding each (m, n) up to the largest indices once."""
     with open(path, encoding="utf-8") as handle:
-        lines = [line.strip() for line in handle]
-    lines = [line for line in lines if line]
-    if not lines or lines[0].replace(" ", "") != "m,n,count":
+        lines = [(at, line.strip()) for at, line in enumerate(handle, start=1) if line.strip()]
+    if not lines or lines[0][1].replace(" ", "") != "m,n,count":
         raise ValueError(f"{path}: expected header 'm,n,count'")
-    entries = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    entries, seen = [], {}
+    for lineno, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
@@ -93,12 +92,20 @@ def read_histogram_csv(path) -> Histogram:
             raise ValueError(f"{path}:{lineno}: non-integer field") from None
         if m < 0 or n < 0 or count < 0:
             raise ValueError(f"{path}:{lineno}: negative value")
+        if (m, n) in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate row {m},{n}")
+        seen[m, n] = lineno
         entries.append((m, n, count))
     if not entries:
         raise ValueError(f"{path}: no data rows")
     table = np.array(entries, dtype=np.int64)
     counts = np.zeros((int(table[:, 0].max()) + 1, int(table[:, 1].max()) + 1), np.int64)
     counts[table[:, 0], table[:, 1]] = table[:, 2]
+    if len(entries) < counts.size:
+        gap = next(cell for cell in np.ndindex(counts.shape) if cell not in seen)
+        # name the first row that sorts after the gap, or the last row
+        lineno = min((at for cell, at in seen.items() if cell > gap), default=lines[-1][0])
+        raise ValueError(f"{path}:{lineno}: missing row {gap[0]},{gap[1]}")
     return Histogram(counts=counts)
 
 

@@ -14,7 +14,6 @@ import dataclasses
 
 import numpy as np
 from scipy import stats
-from scipy.linalg import toeplitz
 from scipy.special import gammaln
 
 PARAM_NAMES = ("eta1", "eta2", "r", "nu1", "nu2")
@@ -84,11 +83,13 @@ class JointPND:
 
     ``probs[m, n]`` is the probability of counting m photons on detector a and
     n on detector b; ``tail_mass`` is the probability of any outcome beyond
-    the grid.
+    the grid; ``terms`` is the number of pair-number terms summed to reach
+    the certified truncation bound (0 when no sum was needed).
     """
 
     probs: np.ndarray
     tail_mass: float
+    terms: int = 0
 
     def __post_init__(self) -> None:
         if self.probs.ndim != 2:
@@ -127,19 +128,34 @@ def _normalize_cutoff(cutoff) -> tuple[int, int]:
     return pair
 
 
+def _log_loss_matrix(n_max: int, cutoff: int, eta: float) -> np.ndarray:
+    """log B[N, k] = log C(N, k) q^k (1 - q)^(N - k) for q = eta^2, -inf where k > N.
+
+    (N - k) log(1 - q) is pinned to 0 at N = k, so B is the identity at eta = 1.
+    """
+    ns = np.arange(n_max + 1)[:, None]
+    ks = np.arange(cutoff + 1)[None, :]
+    nk = np.maximum(ns - ks, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        survive = np.where(nk == 0, 0.0, nk * np.log1p(-(eta**2)))
+    log_b = _log_factorial(ns) - _log_factorial(ks) - _log_factorial(nk) + 2.0 * ks * np.log(eta)
+    return np.where(ns >= ks, log_b + survive, -np.inf)
+
+
 def lossy_tmsv_pnd(eta1: float, eta2: float, r: float, cutoff, tol: float = 1e-14) -> JointPND:
     """Exact joint count distribution of a twin beam after per-arm loss.
 
-    Evaluates, in log space,
+    Evaluates the pair-number mixture as one matrix product,
 
-        p(k, l) = (1 / cosh^2 r) * sum_{N >= max(k, l)}
-                  lam1^(N-k) * lam2^(N-l) * |f|^(2N) * C(N, k) * C(N, l)
+        P = B1^T diag(w) B2,   w_N = tanh^(2N) r / cosh^2 r,
+        B_i[N, k] = C(N, k) q_i^k (1 - q_i)^(N - k),   q_i = eta_i^2,
 
-    with lam_i = (1 - eta_i^2) / eta_i^2 and |f|^2 = eta1^2 eta2^2 tanh^2 r.
-    Successive term ratios decrease toward rho = (1 - eta1^2)(1 - eta2^2)
-    tanh^2 r < 1, so each bin's remainder is bounded by a geometric series
-    evaluated at the current ratio; summation stops once that bound drops
-    below ``tol`` times the partial sum.
+    summed over pair numbers N <= N_max.  Successive terms of bin (k, l) have
+    ratio rho (N+1)^2 / ((N+1-k)(N+1-l)), which falls toward rho = (1 - q1)
+    (1 - q2) tanh^2 r < 1, so the remainder of each bin is bounded by the
+    geometric series t_N ratio / (1 - ratio) on its last term t_N.  N_max
+    starts from an estimate in rho and grows until that bound is at most
+    ``tol`` times the bin's value in every bin.
 
     Args:
         eta1: transmission amplitude of arm a, in (0, 1].
@@ -149,7 +165,8 @@ def lossy_tmsv_pnd(eta1: float, eta2: float, r: float, cutoff, tol: float = 1e-1
         tol: relative truncation tolerance per bin.
 
     Returns:
-        JointPND on a (cutoff_a + 1) x (cutoff_b + 1) grid.
+        JointPND on a (cutoff_a + 1) x (cutoff_b + 1) grid; ``terms`` is the
+        number of pair-number terms the certificate accepted.
     """
     if not (0.0 < eta1 <= 1.0) or not (0.0 < eta2 <= 1.0):
         raise ValueError(
@@ -161,75 +178,47 @@ def lossy_tmsv_pnd(eta1: float, eta2: float, r: float, cutoff, tol: float = 1e-1
         raise ValueError("tol must be positive")
     ca, cb = _normalize_cutoff(cutoff)
 
-    probs = np.zeros((ca + 1, cb + 1))
     if r == 0.0:
+        probs = np.zeros((ca + 1, cb + 1))
         probs[0, 0] = 1.0
         return JointPND(probs=probs, tail_mass=0.0)
 
-    ks = np.arange(ca + 1)[:, None]
-    ls = np.arange(cb + 1)[None, :]
-    start = np.maximum(ks, ls)
+    log_t2, log_norm = 2.0 * np.log(np.tanh(r)), 2.0 * np.log(np.cosh(r))
+    rho = (1.0 - eta1**2) * (1.0 - eta2**2) * np.tanh(r) ** 2
+    if rho >= 1.0:
+        raise RuntimeError("photon-number series failed to converge")
+    top, limit = max(ca, cb), 100_000
+    # terms of the far bins peak near N ~ top / (1 - sqrt(rho)), then fall like rho^N
+    with np.errstate(divide="ignore"):
+        guess = top / (1.0 - np.sqrt(rho)) + np.log(tol) / np.log(rho)
+    n_max = int(min(1.5 * max(guess, 0.0) + top + 16, limit))
+    while True:
+        log_w = np.arange(n_max + 1)[:, None] * log_t2 - log_norm
+        b1 = np.exp(_log_loss_matrix(n_max, ca, eta1))
+        wb2 = np.exp(log_w + _log_loss_matrix(n_max, cb, eta2))
+        probs = b1.T @ wb2
 
-    lam1 = (1.0 - eta1**2) / eta1**2
-    lam2 = (1.0 - eta2**2) / eta2**2
-    log_lam1 = np.log(lam1) if lam1 > 0.0 else -np.inf
-    log_lam2 = np.log(lam2) if lam2 > 0.0 else -np.inf
-    log_f2 = 2.0 * (np.log(eta1) + np.log(eta2) + np.log(np.tanh(r)))
-    log_norm = 2.0 * np.log(np.cosh(r))
-    rho = lam1 * lam2 * np.exp(log_f2)
-
-    log_fact_k = _log_factorial(ks)
-    log_fact_l = _log_factorial(ls)
-
-    block = 16
-    n_lo = 0
-    converged = np.zeros_like(start, dtype=bool)
-    while not converged.all():
-        if n_lo > 100_000:
-            raise RuntimeError("photon-number series failed to converge")
-        ns = np.arange(n_lo, n_lo + block)[:, None, None]
-        nk = ns - ks[None, :, :]
-        nl = ns - ls[None, :, :]
-        valid = (nk >= 0) & (nl >= 0)
-        nk_c = np.where(valid, nk, 0)
-        nl_c = np.where(valid, nl, 0)
-        # (N - k) * log(lam) with the 0 * (-inf) case pinned to 0 for eta = 1
-        with np.errstate(invalid="ignore"):
-            w1 = np.where(nk_c == 0, 0.0, nk_c * log_lam1)
-            w2 = np.where(nl_c == 0, 0.0, nl_c * log_lam2)
-        exponent = (
-            2.0 * _log_factorial(ns)
-            - _log_factorial(nk_c)
-            - _log_factorial(nl_c)
-            - log_fact_k[None, :, :]
-            - log_fact_l[None, :, :]
-            + w1
-            + w2
-            + ns * log_f2
-            - log_norm
-        )
-        terms = np.where(valid, np.exp(np.where(valid, exponent, -np.inf)), 0.0)
-        probs += terms.sum(axis=0)
-
-        n_last = n_lo + block - 1
-        active = n_last >= start
-        denom = (n_last + 1 - ks) * (n_last + 1 - ls)
+        last = n_max + 1
+        ratio = rho * last**2 / np.outer(last - np.arange(ca + 1), last - np.arange(cb + 1))
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(active, rho * (n_last + 1) ** 2 / denom, np.inf)
-            bound = np.where(
-                (ratio < 1.0) & active, terms[-1] * ratio / (1.0 - ratio), np.inf
-            )
-        converged = active & (bound <= tol * probs)
-        n_lo += block
+            bound = np.outer(b1[-1], wb2[-1]) * ratio / (1.0 - ratio)
+        if np.all((ratio < 1.0) & (bound <= tol * probs)):
+            break
+        if n_max >= limit:
+            raise RuntimeError("photon-number series failed to converge")
+        n_max = min(int(1.5 * n_max), limit)
 
     tail = max(1.0 - float(probs.sum()), 0.0)
-    return JointPND(probs=probs, tail_mass=tail)
+    return JointPND(probs=probs, tail_mass=tail, terms=n_max + 1)
 
 
 def _poisson_mixing_matrix(cutoff: int, nu: float) -> np.ndarray:
     """Lower-triangular convolution matrix A[m, k] = Poisson(nu).pmf(m - k)."""
-    pmf = stats.poisson.pmf(np.arange(cutoff + 1), nu)
-    return toeplitz(pmf, np.zeros(cutoff + 1))
+    ks = np.arange(cutoff + 1)
+    if nu == 0.0:
+        return np.eye(cutoff + 1)
+    pmf = np.exp(ks * np.log(nu) - nu - _log_factorial(ks))
+    return np.tril(pmf[np.abs(ks[:, None] - ks[None, :])])
 
 
 def apply_dark_counts(pnd: JointPND, nu1: float, nu2: float) -> JointPND:
@@ -246,7 +235,7 @@ def apply_dark_counts(pnd: JointPND, nu1: float, nu2: float) -> JointPND:
     a2 = _poisson_mixing_matrix(pnd.cutoff_b, nu2)
     probs = a1 @ pnd.probs @ a2.T
     tail = max(1.0 - float(probs.sum()), 0.0)
-    return JointPND(probs=probs, tail_mass=tail)
+    return JointPND(probs=probs, tail_mass=tail, terms=pnd.terms)
 
 
 def default_cutoff(theta: ParamSet, tail_bound: float = 1e-12) -> tuple[int, int]:

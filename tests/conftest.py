@@ -1,5 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from scipy.signal import convolve2d
+from scipy.special import gammaln
+from scipy.stats import binom, poisson
 
 from twinloss import ParamSet
 
@@ -22,3 +26,108 @@ def theta_a():
 def theta_b():
     # reference operating point B: lower transmission, no dark counts
     return ParamSet(eta1=0.28730, eta2=0.28621, r=1.3425)
+
+
+def mixture_pnd(eta1, eta2, r, cutoff, nu1=0.0, nu2=0.0, n_max=250):
+    """Direct oracle: photon-pair weights pushed through binomial loss and
+    Poisson spurious counts, summed term by term."""
+    ca, cb = cutoff if isinstance(cutoff, tuple) else (cutoff, cutoff)
+    pair_weights = np.tanh(r) ** (2 * np.arange(n_max + 1)) / np.cosh(r) ** 2
+    probs = np.zeros((ca + 1, cb + 1))
+    for n, weight in enumerate(pair_weights):
+        loss1 = binom.pmf(np.arange(ca + 1), n, eta1**2)
+        loss2 = binom.pmf(np.arange(cb + 1), n, eta2**2)
+        probs += weight * np.outer(loss1, loss2)
+    return dark_count_oracle(probs, nu1, nu2)
+
+
+def dark_count_oracle(probs, nu1, nu2):
+    """Convolve a count grid with Poisson spurious counts, cut to the same grid."""
+    if nu1 > 0.0 or nu2 > 0.0:
+        ca, cb = probs.shape[0] - 1, probs.shape[1] - 1
+        kernel = np.outer(
+            poisson.pmf(np.arange(ca + 1), nu1), poisson.pmf(np.arange(cb + 1), nu2)
+        )
+        probs = convolve2d(probs, kernel, mode="full")[: ca + 1, : cb + 1]
+    return probs
+
+
+def _log_factorial(n):
+    return gammaln(n + 1.0)
+
+
+def series_pnd(eta1, eta2, r, cutoff, tol=1e-14):
+    """Independent oracle: the blocked log-space series over pair numbers.
+
+    Evaluates, in log space,
+
+        p(k, l) = (1 / cosh^2 r) * sum_{N >= max(k, l)}
+                  lam1^(N-k) * lam2^(N-l) * |f|^(2N) * C(N, k) * C(N, l)
+
+    with lam_i = (1 - eta_i^2) / eta_i^2 and |f|^2 = eta1^2 eta2^2 tanh^2 r,
+    in blocks of 16 terms, until each bin's geometric remainder bound drops
+    below ``tol`` times its partial sum.  Returns the probability grid.
+    """
+    ca, cb = cutoff if isinstance(cutoff, tuple) else (cutoff, cutoff)
+    probs = np.zeros((ca + 1, cb + 1))
+    if r == 0.0:
+        probs[0, 0] = 1.0
+        return probs
+
+    ks = np.arange(ca + 1)[:, None]
+    ls = np.arange(cb + 1)[None, :]
+    start = np.maximum(ks, ls)
+
+    lam1 = (1.0 - eta1**2) / eta1**2
+    lam2 = (1.0 - eta2**2) / eta2**2
+    log_lam1 = np.log(lam1) if lam1 > 0.0 else -np.inf
+    log_lam2 = np.log(lam2) if lam2 > 0.0 else -np.inf
+    log_f2 = 2.0 * (np.log(eta1) + np.log(eta2) + np.log(np.tanh(r)))
+    log_norm = 2.0 * np.log(np.cosh(r))
+    rho = lam1 * lam2 * np.exp(log_f2)
+
+    log_fact_k = _log_factorial(ks)
+    log_fact_l = _log_factorial(ls)
+
+    block = 16
+    n_lo = 0
+    converged = np.zeros_like(start, dtype=bool)
+    while not converged.all():
+        if n_lo > 100_000:
+            raise RuntimeError("photon-number series failed to converge")
+        ns = np.arange(n_lo, n_lo + block)[:, None, None]
+        nk = ns - ks[None, :, :]
+        nl = ns - ls[None, :, :]
+        valid = (nk >= 0) & (nl >= 0)
+        nk_c = np.where(valid, nk, 0)
+        nl_c = np.where(valid, nl, 0)
+        # (N - k) * log(lam) with the 0 * (-inf) case pinned to 0 for eta = 1
+        with np.errstate(invalid="ignore"):
+            w1 = np.where(nk_c == 0, 0.0, nk_c * log_lam1)
+            w2 = np.where(nl_c == 0, 0.0, nl_c * log_lam2)
+        exponent = (
+            2.0 * _log_factorial(ns)
+            - _log_factorial(nk_c)
+            - _log_factorial(nl_c)
+            - log_fact_k[None, :, :]
+            - log_fact_l[None, :, :]
+            + w1
+            + w2
+            + ns * log_f2
+            - log_norm
+        )
+        terms = np.where(valid, np.exp(np.where(valid, exponent, -np.inf)), 0.0)
+        probs += terms.sum(axis=0)
+
+        n_last = n_lo + block - 1
+        active = n_last >= start
+        denom = (n_last + 1 - ks) * (n_last + 1 - ls)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(active, rho * (n_last + 1) ** 2 / denom, np.inf)
+            bound = np.where(
+                (ratio < 1.0) & active, terms[-1] * ratio / (1.0 - ratio), np.inf
+            )
+        converged = active & (bound <= tol * probs)
+        n_lo += block
+
+    return probs

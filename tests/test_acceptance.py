@@ -8,8 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy.signal import convolve2d
-from scipy.stats import binom, poisson
+from conftest import mixture_pnd
 
 from twinloss import (
     ParamSet,
@@ -27,23 +26,6 @@ from twinloss import (
     sample_shots,
     total_variance,
 )
-
-
-def _mixture_pnd(eta1, eta2, r, cutoff, nu1=0.0, nu2=0.0, n_max=250):
-    """Direct oracle: pair weights through binomial loss plus Poisson counts."""
-    ca, cb = cutoff
-    pair_weights = np.tanh(r) ** (2 * np.arange(n_max + 1)) / np.cosh(r) ** 2
-    probs = np.zeros((ca + 1, cb + 1))
-    for n, weight in enumerate(pair_weights):
-        loss1 = binom.pmf(np.arange(ca + 1), n, eta1**2)
-        loss2 = binom.pmf(np.arange(cb + 1), n, eta2**2)
-        probs += weight * np.outer(loss1, loss2)
-    if nu1 > 0.0 or nu2 > 0.0:
-        kernel = np.outer(
-            poisson.pmf(np.arange(ca + 1), nu1), poisson.pmf(np.arange(cb + 1), nu2)
-        )
-        probs = convolve2d(probs, kernel, mode="full")[: ca + 1, : cb + 1]
-    return probs
 
 
 def test_01_variance_bounds_match_device_reference_points():
@@ -92,7 +74,7 @@ def test_04_series_matches_direct_mixture_on_random_parameters():
         cutoff = (int(rng.integers(3, 9)), int(rng.integers(3, 9)))
         theta = ParamSet(eta1=eta1, eta2=eta2, r=r, nu1=nu1, nu2=nu2)
         got = model_pnd(theta, cutoff).probs
-        want = _mixture_pnd(eta1, eta2, r, cutoff, nu1, nu2)
+        want = mixture_pnd(eta1, eta2, r, cutoff, nu1, nu2)
         assert np.abs(got - want).max() < 1e-12
     assert time.perf_counter() - t0 < 30.0
 

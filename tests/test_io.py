@@ -71,6 +71,20 @@ def test_read_histogram_csv_reports_line_number(tmp_path):
         read_histogram_csv(path)
 
 
+def test_read_histogram_csv_rejects_duplicate_row(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("m,n,count\n0,0,5\n0,0,7\n")
+    with pytest.raises(ValueError, match=r"dup\.csv:3: duplicate row 0,0"):
+        read_histogram_csv(path)
+
+
+def test_read_histogram_csv_rejects_missing_row(tmp_path):
+    path = tmp_path / "gap.csv"
+    path.write_text("m,n,count\n0,0,5\n0,1,1\n1,1,2\n")
+    with pytest.raises(ValueError, match=r"gap\.csv:4: missing row 1,0"):
+        read_histogram_csv(path)
+
+
 def test_read_shot_list_bins_pairs(tmp_path):
     path = tmp_path / "shots.csv"
     path.write_text("m,n\n0,1\n0,1\n2,0\n\n1,1\n")

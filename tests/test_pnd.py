@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.signal import convolve2d
+from conftest import dark_count_oracle, mixture_pnd, series_pnd
 from scipy.stats import binom, poisson
 
 from twinloss import (
@@ -14,24 +14,6 @@ from twinloss import (
     lowloss_three_outcome,
     model_pnd,
 )
-
-
-def mixture_pnd(eta1, eta2, r, cutoff, nu1=0.0, nu2=0.0, n_max=250):
-    """Direct oracle: photon-pair weights pushed through binomial loss and
-    Poisson spurious counts, summed term by term."""
-    ca, cb = cutoff if isinstance(cutoff, tuple) else (cutoff, cutoff)
-    pair_weights = np.tanh(r) ** (2 * np.arange(n_max + 1)) / np.cosh(r) ** 2
-    probs = np.zeros((ca + 1, cb + 1))
-    for n, weight in enumerate(pair_weights):
-        loss1 = binom.pmf(np.arange(ca + 1), n, eta1**2)
-        loss2 = binom.pmf(np.arange(cb + 1), n, eta2**2)
-        probs += weight * np.outer(loss1, loss2)
-    if nu1 > 0.0 or nu2 > 0.0:
-        kernel = np.outer(
-            poisson.pmf(np.arange(ca + 1), nu1), poisson.pmf(np.arange(cb + 1), nu2)
-        )
-        probs = convolve2d(probs, kernel, mode="full")[: ca + 1, : cb + 1]
-    return probs
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 1.3])
@@ -68,6 +50,69 @@ def test_series_matches_direct_summation(eta1, eta2, r, nu1, nu2, cutoff):
     pnd = model_pnd(theta, cutoff)
     oracle = mixture_pnd(eta1, eta2, r, cutoff, nu1, nu2)
     assert np.abs(pnd.probs - oracle).max() < 1e-12
+
+
+eta_domain = st.one_of(st.just(1.0), st.floats(0.05, 1.0))
+
+
+@given(
+    eta1=eta_domain,
+    eta2=eta_domain,
+    r=st.floats(0.0, 2.5, exclude_min=True),
+    ca=st.integers(0, 12),
+    cb=st.integers(0, 12),
+    nu1=st.floats(0.0, 3.0),
+    nu2=st.floats(0.0, 3.0),
+)
+def test_matrix_product_matches_series(eta1, eta2, r, ca, cb, nu1, nu2):
+    # eta starts at 0.05: below it, near r = 2.5, the log-space series itself
+    # drifts ~1e-13 from the closed form; the column test below covers that corner
+    theta = ParamSet(eta1=eta1, eta2=eta2, r=r, nu1=nu1, nu2=nu2)
+    pnd = model_pnd(theta, (ca, cb))
+    want = dark_count_oracle(series_pnd(eta1, eta2, r, (ca, cb)), nu1, nu2)
+    big = want > 1e-250
+    assert np.all(np.abs(pnd.probs - want)[big] <= 1e-11 * want[big])
+    assert np.abs(pnd.probs - want).max() <= 1e-13
+    assert abs(pnd.probs.sum() + pnd.tail_mass - 1.0) <= 1e-12
+    swapped = model_pnd(ParamSet(eta1=eta2, eta2=eta1, r=r, nu1=nu2, nu2=nu1), (cb, ca))
+    assert np.abs(swapped.probs.T - pnd.probs).max() <= 1e-14
+
+
+def test_matrix_product_matches_series_in_far_corner():
+    # rho = 0.88 and a wide grid: the certified sum needs far more than
+    # 2 * cutoff pair numbers before the corner bins settle
+    got = lossy_tmsv_pnd(0.1, 0.2, 2.0, 40).probs
+    want = series_pnd(0.1, 0.2, 2.0, 40)
+    big = want > 1e-250
+    assert np.all(np.abs(got - want)[big] <= 1e-11 * want[big])
+    assert np.abs(got - want).max() <= 1e-13
+
+
+@given(
+    eta1=st.floats(0.0, 1.0, exclude_min=True),
+    eta2=st.floats(0.0, 1.0, exclude_min=True),
+    r=st.floats(0.0, 2.5, exclude_min=True),
+)
+def test_first_column_matches_closed_form(eta1, eta2, r):
+    # p(k, 0) = (q1 t2 (1 - q2))^k / (cosh^2 r * D^(k + 1)),
+    # D = 1 / cosh^2 r + t2 (q1 + q2 - q1 q2), t2 = tanh^2 r, q_i = eta_i^2
+    q1, q2, t2 = eta1**2, eta2**2, np.tanh(r) ** 2
+    denom = 1.0 / np.cosh(r) ** 2 + t2 * (q1 + q2 - q1 * q2)
+    k = np.arange(13)
+    want = (q1 * t2 * (1.0 - q2)) ** k / denom ** (k + 1) / np.cosh(r) ** 2
+    got = lossy_tmsv_pnd(eta1, eta2, r, (12, 0)).probs[:, 0]
+    big = want > 1e-250
+    assert np.all(np.abs(got - want)[big] <= 1e-11 * want[big])
+    assert np.abs(got - want).max() <= 1e-13
+
+
+def test_terms_exceed_cutoff_and_grow_with_squeezing():
+    terms = [lossy_tmsv_pnd(0.5, 0.6, r, 10).terms for r in (0.25, 0.5, 1.0, 2.0)]
+    assert terms[0] > 10
+    assert all(t0 < t1 for t0, t1 in zip(terms, terms[1:]))
+    theta = ParamSet(eta1=0.5, eta2=0.6, r=1.0, nu1=0.1, nu2=0.2)
+    assert model_pnd(theta, 10).terms == terms[2]
+    assert lossy_tmsv_pnd(0.5, 0.6, 0.0, 10).terms == 0
 
 
 def test_dark_counts_zero_rates_is_identity():
