@@ -164,6 +164,8 @@ def cmd_fit(args) -> int:
         (path, args.ingest, init_dict, free, args.starts, seed, args.parametrization, args.tol)
         for path in args.inputs
     ]
+    if len(payloads) > 1 and args.out is None:
+        raise ValueError("batch fit needs --out for the summary CSV")
     if len(payloads) == 1:
         row = _fit_one(payloads[0])
         if not row["converged"]:
@@ -177,29 +179,15 @@ def cmd_fit(args) -> int:
     else:
         rows = [_fit_one(p) for p in payloads]
 
-    table = []
-    for row in rows:
-        record = {"file": row["file"]}
-        record.update({k: row["theta_hat"][k] for k in PARAM_NAMES})
-        record["objective_nats"] = row["objective_nats"]
-        record["rms"] = row["rms"]
-        record["converged"] = row["converged"]
-        record["iterations"] = row["iterations"]
-        table.append(record)
+    # one record per fit holding every summary column
+    table = [{**row["theta_hat"], **row} for row in rows]
     values = np.array([[rec[c] for c in FIT_COLUMNS] for rec in table], dtype=float)
     summary = [
         ["mean"] + [float(v) for v in values.mean(axis=0)] + ["", ""],
         ["stddev"] + [float(v) for v in values.std(axis=0, ddof=1)] + ["", ""],
     ]
     header = ("file",) + FIT_COLUMNS + ("converged", "iterations")
-    body = [
-        [rec["file"]]
-        + [rec[c] for c in FIT_COLUMNS]
-        + [rec["converged"], rec["iterations"]]
-        for rec in table
-    ]
-    if args.out is None:
-        raise ValueError("batch fit needs --out for the summary CSV")
+    body = [[rec[c] for c in header] for rec in table]
     tio.write_csv(args.out, header, body + summary)
     n_bad = sum(1 for rec in table if not rec["converged"])
     if n_bad:
@@ -211,9 +199,7 @@ def cmd_fit(args) -> int:
 def cmd_fisher(args) -> int:
     theta = _theta_from_args(args)
     params = _parse_free(args.params)
-    fim = classical_fim(
-        theta, params=params, cutoff=_parse_cutoff(args.cutoff), step=args.step, tol=args.tol
-    )
+    fim = classical_fim(theta, params=params, cutoff=_parse_cutoff(args.cutoff), tol=args.tol)
     _emit_json(
         {
             "labels": list(fim.labels),
@@ -350,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--params", default=",".join(PARAM_NAMES), help="comma-separated parameters to differentiate"
     )
     p.add_argument("--cutoff", default=None, help="grid cutoff, integer or 'a,b'")
-    p.add_argument("--step", type=float, default=1e-5, help="relative finite-difference step")
     p.add_argument("--tol", type=float, default=1e-14, help="series truncation tolerance")
     p.add_argument("--out", default=None, help="output JSON (default stdout)")
     p.set_defaults(func=cmd_fisher)

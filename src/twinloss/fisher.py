@@ -1,8 +1,9 @@
 """Classical, observed, and quantum Fisher information for twin-beam counting.
 
-Classical information matrices are built from central finite differences of
-the exact count model; benchmark quantum Fisher matrices cover coherent
-probes, Fock probes, and the low-loss twin-beam approximation.  Sensitivity
+Classical and observed information matrices are built from the exact scores
+of the count model, from one evaluation each; benchmark quantum Fisher
+matrices cover coherent probes, Fock probes, and the low-loss twin-beam
+approximation.  Sensitivity
 is the reciprocal of the total (eta1, eta2) variance, and crossover curves
 locate where the twin beam and an equal-energy coherent probe break even.
 """
@@ -15,13 +16,9 @@ import warnings
 import numpy as np
 
 from .gaussian import qfim_inverse_analytic, three_param_qfim
-from .pnd import PARAM_NAMES, ParamSet, default_cutoff, model_pnd
+from .pnd import PARAM_NAMES, NumericError, ParamSet, default_cutoff, model_pnd
 
 ETA_LABELS = ("eta1", "eta2")
-
-
-class NumericError(RuntimeError):
-    """A computation failed for numerical reasons (singular matrix, boundary point)."""
 
 
 class LowLossValidityWarning(UserWarning):
@@ -69,135 +66,82 @@ def _safe_inverse(matrix: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
     return eigvecs @ np.diag(1.0 / eigvals) @ eigvecs.T
 
 
-def _difference_step(theta: ParamSet, name: str, step: float) -> float:
-    """Central-difference step for one parameter, shrunk to stay in the domain."""
-    value = getattr(theta, name)
-    h = step * max(abs(value), 0.1)
-    if name in ETA_LABELS:
-        if value >= 1.0:
-            h = (1.0 - value) / 2.0
-        elif value + h > 1.0:
-            h = (1.0 - value) / 2.0
-        if value - h <= 0.0:
-            h = min(h, value / 2.0)
-    else:
-        if value - h < 0.0:
-            h = value / 2.0
-    if h <= 0.0:
-        raise NumericError(
-            f"parameter {name}={value} sits on the domain boundary; "
-            "finite differences need an interior point"
-        )
-    return h
-
-
-def _pnd_derivatives(
-    theta: ParamSet,
-    params: tuple[str, ...],
-    cutoff,
-    step: float,
-    tol: float,
-):
-    """Model grid, tail, and central-difference derivatives for each parameter."""
-    for name in params:
-        if name not in PARAM_NAMES:
-            raise ValueError(f"unknown parameter {name!r}; choose from {PARAM_NAMES}")
-    base = model_pnd(theta, cutoff, tol)
-    dprobs, dtails = [], []
-    for name in params:
-        h = _difference_step(theta, name, step)
-        value = getattr(theta, name)
-        hi = model_pnd(theta.replace(**{name: value + h}), cutoff, tol)
-        lo = model_pnd(theta.replace(**{name: value - h}), cutoff, tol)
-        dp = (hi.probs - lo.probs) / (2.0 * h)
-        if not np.isfinite(dp).all():
-            bad = np.argwhere(~np.isfinite(dp))[0]
-            raise NumericError(f"non-finite derivative of p at bin {tuple(bad)}")
-        dprobs.append(dp)
-        dtails.append((hi.tail_mass - lo.tail_mass) / (2.0 * h))
-    return base, dprobs, dtails
+def _gram(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Symmetric sum over outcomes of weights * v_i * v_j, with v_i row i of ``vectors``."""
+    gram = (vectors * weights) @ vectors.T
+    return 0.5 * (gram + gram.T)
 
 
 def classical_fim(
     theta: ParamSet,
     params: tuple[str, ...] = PARAM_NAMES,
     cutoff=None,
-    step: float = 1e-5,
     tol: float = 1e-14,
     p_floor: float = 1e-300,
     tail_floor: float = 1e-9,
 ) -> FisherMatrix:
     """Fisher information of the count distribution, per shot.
 
-    H_ij = sum over outcomes of (d_i p)(d_j p)/p, with derivatives from
-    central differences of ``model_pnd``.  Outcomes are the grid bins with
-    p >= p_floor plus, when its mass is at least ``tail_floor``, the
-    aggregated beyond-cutoff event, so the information always corresponds to
-    a genuine measurement.  Below ``tail_floor`` the tail's finite-difference
-    derivative is dominated by series-truncation noise while its true
-    contribution is negligible, so it is dropped.
+    H_ij = sum over outcomes of (d_i p)(d_j p)/p, with the exact scores of
+    one ``model_pnd`` evaluation.  Outcomes are the grid bins with p >=
+    p_floor plus, when its mass is at least ``tail_floor``, the aggregated
+    beyond-cutoff event, so the information always corresponds to a genuine
+    measurement.  The tail mass is 1 - sum p, which cancels to roundoff near
+    1e-12 and is clamped to 0 there, so below ``tail_floor`` its 1/p weight
+    would amplify roundoff (or divide by zero) while its true contribution
+    is negligible; it is dropped.
 
     Args:
-        theta: evaluation point, interior in every differentiated parameter.
+        theta: evaluation point, interior in every differentiated parameter
+            (eta < 1, r > 0, nu > 0), else NumericError.
         params: parameter names to differentiate, default all five.
         cutoff: grid cutoff per arm; defaults to ``default_cutoff(theta)``.
-        step: relative step, h_i = step * max(|theta_i|, 0.1).
         tol: series truncation tolerance passed to the model.
         p_floor: bins below this probability are excluded.
         tail_floor: minimum tail mass for the aggregated event to count.
     """
     if cutoff is None:
         cutoff = default_cutoff(theta)
-    base, dprobs, dtails = _pnd_derivatives(theta, tuple(params), cutoff, step, tol)
-    mask = base.probs >= p_floor
-    use_tail = base.tail_mass >= tail_floor
-    k = len(dprobs)
-    h = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            s = float(np.sum(dprobs[i][mask] * dprobs[j][mask] / base.probs[mask]))
-            if use_tail:
-                s += dtails[i] * dtails[j] / base.tail_mass
-            h[i, j] = h[j, i] = s
-    return FisherMatrix(labels=tuple(params), entries=h)
+    params = tuple(params)
+    pnd = model_pnd(theta, cutoff, tol, wrt=params)
+    mask = pnd.probs >= p_floor
+    scores = np.array([pnd.scores[name][mask] for name in params])
+    h = _gram(scores, 1.0 / pnd.probs[mask])
+    if pnd.tail_mass >= tail_floor:
+        tail = np.array([pnd.tail_scores[name] for name in params])
+        h += np.outer(tail, tail) / pnd.tail_mass
+    return FisherMatrix(labels=params, entries=h)
 
 
 def observed_fim(
     hist,
     theta_hat: ParamSet,
     params: tuple[str, ...] = PARAM_NAMES,
-    step: float = 1e-5,
     tol: float = 1e-14,
     p_floor: float = 1e-300,
 ) -> FisherMatrix:
     """Data-weighted information F_jk = sum mu_mn (d_j ln p)(d_k ln p) at theta_hat.
 
-    ``hist`` may be a Histogram or a plain count grid.  Its grid shape sets
-    the model cutoff.  Occupied bins the model cannot explain (p below
-    ``p_floor``) raise, naming the bin.
+    The scores come exactly from one ``model_pnd`` evaluation.  ``hist`` may
+    be a Histogram or a plain count grid.  Its grid shape sets the model
+    cutoff.  Occupied bins the model cannot explain (p below ``p_floor``)
+    raise, naming the bin.
     """
     counts = np.asarray(getattr(hist, "counts", hist), dtype=float)
     if counts.ndim != 2 or counts.sum() <= 0:
         raise ValueError("histogram must be a nonempty two-dimensional count grid")
-    cutoff = (counts.shape[0] - 1, counts.shape[1] - 1)
-    base, dprobs, _ = _pnd_derivatives(theta_hat, tuple(params), cutoff, step, tol)
+    params = tuple(params)
+    pnd = model_pnd(theta_hat, (counts.shape[0] - 1, counts.shape[1] - 1), tol, wrt=params)
     occupied = counts > 0
-    starved = occupied & (base.probs < p_floor)
+    starved = occupied & (pnd.probs < p_floor)
     if starved.any():
         bad = tuple(int(v) for v in np.argwhere(starved)[0])
         raise NumericError(
             f"bin {bad} holds counts but the model assigns it no probability"
         )
-    k = len(dprobs)
-    f = np.empty((k, k))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scores = [np.where(occupied, dp / base.probs, 0.0) for dp in dprobs]
-    for i in range(k):
-        for j in range(i, k):
-            f[i, j] = f[j, i] = float(
-                np.sum(counts[occupied] * scores[i][occupied] * scores[j][occupied])
-            )
-    return FisherMatrix(labels=tuple(params), entries=f)
+    p_occ = pnd.probs[occupied]
+    log_scores = np.array([pnd.scores[name][occupied] / p_occ for name in params])
+    return FisherMatrix(labels=params, entries=_gram(log_scores, counts[occupied]))
 
 
 def reparametrize_fim(

@@ -167,6 +167,9 @@ def result_to_dict(result: MleResult) -> dict:
         "rms": float(result.rms_error),
         "converged": bool(result.converged),
         "iterations": int(result.iterations),
+        "evaluations": int(result.evaluations),
+        "message": result.message,
+        "start_objectives": [float(v) for v in result.start_objectives],
         "covariance": None
         if result.covariance is None
         else [[float(v) for v in row] for row in result.covariance],

@@ -4,7 +4,8 @@ The objective is the Kullback-Leibler divergence from the empirical
 frequencies to the model distribution conditioned on the occupied bins, so
 differences of the objective equal per-shot log-likelihood differences and
 the minimum is exactly zero when the model reproduces the data.  Parameters
-are optimized through unconstrained transforms with multi-start Nelder-Mead.
+are optimized through unconstrained transforms by multi-start Fisher
+scoring on the exact scores of the count model.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ import dataclasses
 import warnings
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult
 from scipy.special import expit, logit
 
-from .fisher import NumericError, _safe_inverse, observed_fim
-from .pnd import PARAM_NAMES, ParamSet, model_pnd
+from .fisher import _gram, _safe_inverse, observed_fim
+from .pnd import PARAM_NAMES, JointPND, NumericError, ParamSet, check_param_names, model_pnd
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,7 +92,12 @@ class Histogram:
 
 @dataclasses.dataclass(frozen=True)
 class MleResult:
-    """Outcome of a maximum-likelihood fit."""
+    """Outcome of a maximum-likelihood fit.
+
+    ``iterations`` (scoring steps) and ``message`` (why it stopped) describe
+    the winning start; ``evaluations`` counts count-model evaluations over
+    all starts, each of which ends at one of ``start_objectives``.
+    """
 
     theta_hat: ParamSet
     objective: float
@@ -101,12 +107,44 @@ class MleResult:
     rms_error: float
     free: tuple[str, ...]
     condition_number: float | None
+    evaluations: int = 0
+    message: str = ""
+    start_objectives: tuple[float, ...] = ()
 
 
 def _kl_divergence(q: np.ndarray, p: np.ndarray) -> float:
     """KL divergence in nats between aligned probability vectors."""
     support = q > 0
     return float(np.sum(q[support] * (np.log(q[support]) - np.log(p[support]))))
+
+
+def _conditioned_kl(hist: Histogram, pnd: JointPND, slopes=1.0):
+    """KL objective of a model grid, with its gradient and information.
+
+    With q the data frequencies and p_c = p / S the model conditioned on the
+    occupied bins (S their model mass), the objective is KL(q || p_c), its
+    gradient -sum q u with u = d log p_c = dp/p - dS/S, and the information
+    of the conditioned model sum p_c u u^T, over coordinates x with
+    d theta / dx = ``slopes`` for the parameters in ``pnd.scores``.  The
+    derivatives are None without scores or when the objective is +inf.
+    """
+    counts = hist.counts
+    total = hist.total
+    if total <= 0:
+        raise ValueError("histogram holds no grid counts")
+    occupied = counts > 0
+    p_occ = pnd.probs[occupied]
+    if not np.isfinite(p_occ).all() or p_occ.min() <= 0.0:
+        return np.inf, None, None
+    q_occ = counts[occupied] / total
+    mass = p_occ.sum()
+    # true KL is >= 0; roundoff near a perfect fit must not break that
+    value = max(_kl_divergence(q_occ, p_occ / mass), 0.0)
+    if not pnd.scores:
+        return value, None, None
+    dp = np.array([grid[occupied] for grid in pnd.scores.values()]) * np.reshape(slopes, (-1, 1))
+    u = dp / p_occ - dp.sum(axis=1, keepdims=True) / mass
+    return value, -(u @ q_occ), _gram(u, p_occ / mass)
 
 
 def kl_objective(hist: Histogram, theta: ParamSet, tol: float = 1e-14) -> float:
@@ -117,19 +155,7 @@ def kl_objective(hist: Histogram, theta: ParamSet, tol: float = 1e-14) -> float:
     the model reproduces the empirical frequencies.  Occupied bins the model
     assigns no probability give +inf.  Overflow shots are ignored.
     """
-    counts = hist.counts
-    total = hist.total
-    if total <= 0:
-        raise ValueError("histogram holds no grid counts")
-    probs = model_pnd(theta, hist.cutoff, tol).probs
-    occupied = counts > 0
-    p_occ = probs[occupied]
-    if not np.isfinite(p_occ).all() or p_occ.min() <= 0.0:
-        return np.inf
-    q_occ = counts[occupied] / total
-    p_cond = p_occ / p_occ.sum()
-    # true KL is >= 0; roundoff near a perfect fit must not break that
-    return max(_kl_divergence(q_occ, p_cond), 0.0)
+    return _conditioned_kl(hist, model_pnd(theta, hist.cutoff, tol))[0]
 
 
 def moment_init(hist: Histogram) -> ParamSet:
@@ -163,15 +189,6 @@ def moment_init(hist: Histogram) -> ParamSet:
     )
 
 
-def _softplus(x: float) -> float:
-    return float(np.logaddexp(0.0, x))
-
-
-def _softplus_inverse(y: float) -> float:
-    # log(expm1(y)), stable for small and large y
-    return float(y + np.log(-np.expm1(-y)))
-
-
 def _to_unconstrained(theta: ParamSet, free: tuple[str, ...], parametrization: str):
     x = []
     for name in free:
@@ -180,7 +197,9 @@ def _to_unconstrained(theta: ParamSet, free: tuple[str, ...], parametrization: s
             value = min(max(value, 1e-6), 1.0 - 1e-9)
             x.append(float(logit(value**2 if parametrization == "q" else value)))
         elif name == "r":
-            x.append(_softplus_inverse(max(value, 1e-6)))
+            # inverse softplus log(expm1(r)), stable for small and large r
+            value = max(value, 1e-6)
+            x.append(float(value + np.log(-np.expm1(-value))))
         else:
             x.append(float(np.log(max(value, 1e-9))))
     return np.array(x)
@@ -188,33 +207,74 @@ def _to_unconstrained(theta: ParamSet, free: tuple[str, ...], parametrization: s
 
 def _from_unconstrained(
     x: np.ndarray, base: ParamSet, free: tuple[str, ...], parametrization: str
-) -> ParamSet:
-    updates = {}
+) -> tuple[ParamSet, np.ndarray]:
+    """The parameter set at x, and d theta / d x of each free parameter's transform."""
+    updates, slopes = {}, []
     for name, value in zip(free, x):
         if name in ("eta1", "eta2"):
             w = float(expit(value))
-            updates[name] = float(np.sqrt(w)) if parametrization == "q" else w
+            root = float(np.sqrt(w))
+            # eta = expit(x), or eta = sqrt(expit(x)) when fitting q = eta^2
+            pair = (root, root * (1.0 - w) / 2.0) if parametrization == "q" else (w, w * (1.0 - w))
         elif name == "r":
-            updates[name] = _softplus(value)
+            pair = (float(np.logaddexp(0.0, value)), float(expit(value)))  # softplus
         else:
-            updates[name] = float(np.exp(value))
-    return base.replace(**updates)
+            pair = (float(np.exp(value)),) * 2
+        updates[name] = pair[0]
+        slopes.append(pair[1])
+    return base.replace(**updates), np.array(slopes)
+
+
+def minimize(evaluate, x0: np.ndarray, xatol: float = 1e-9, maxiter: int = 5000) -> OptimizeResult:
+    """Fisher scoring from x0; ``evaluate(x)`` returns (objective, gradient, information, model).
+
+    Each iteration proposes the step -F^-1 g (least squares, so a singular F
+    gives the minimum-norm step and F = g = 0 gives none) and halves it until
+    the objective does not rise.  Stops with success once the step is below
+    ``xatol`` in every coordinate.  The result also holds ``model``, that of
+    the last accepted evaluation.
+    """
+    x = np.asarray(x0, dtype=float)
+    value, grad, info, model = evaluate(x)
+    nit, nfev, message = 0, 1, "maximum number of iterations reached"
+    if not np.isfinite(value):
+        message = "objective is not finite at the start"
+    while np.isfinite(value) and nit < maxiter:
+        step = np.linalg.lstsq(info, -grad, rcond=None)[0]
+        if not np.isfinite(step).all():
+            message = "scoring step is not finite"
+            break
+        while np.abs(step).max() >= xatol:
+            trial = evaluate(x + step)
+            nfev += 1
+            if trial[0] <= value:
+                x, nit = x + step, nit + 1
+                value, grad, info, model = trial
+                break
+            step = step / 2.0
+        if np.abs(step).max() < xatol:
+            message = "step below xatol"
+            break
+    return OptimizeResult(
+        x=x, fun=value, nit=nit, nfev=nfev, success=message == "step below xatol",
+        message=message, model=model,
+    )
 
 
 def covariance_estimate(
     hist: Histogram,
     theta_hat: ParamSet,
     params: tuple[str, ...] = PARAM_NAMES,
-    step: float = 1e-5,
     tol: float = 1e-14,
 ):
     """Observed-information covariance at the fit point.
 
     Returns (covariance, condition_number) over ``params``, where covariance
-    is the inverse of the observed information matrix.  Raises NumericError
-    when the information matrix is singular.
+    is the inverse of the observed information matrix, built from the exact
+    scores of one model evaluation.  Raises NumericError when the
+    information matrix is singular or a parameter sits on its boundary.
     """
-    fim = observed_fim(hist, theta_hat, params=params, step=step, tol=tol)
+    fim = observed_fim(hist, theta_hat, params=params, tol=tol)
     covariance = _safe_inverse(fim.entries)
     return covariance, float(np.linalg.cond(fim.entries))
 
@@ -230,15 +290,17 @@ def fit(
     parametrization: str = "eta",
     tol: float = 1e-14,
     xatol: float = 1e-9,
-    fatol: float = 1e-12,
     maxiter: int = 5000,
 ) -> MleResult:
-    """Fit the count model to a histogram by multi-start Nelder-Mead.
+    """Fit the count model to a histogram by multi-start Fisher scoring.
 
     Free parameters are optimized through unconstrained transforms (logistic
     for transmissions, softplus for squeezing, log for dark counts); the
-    remaining parameters stay at their ``init`` values.  Start 0 uses
-    ``init`` (or ``moment_init``) exactly; further starts jitter the
+    remaining parameters stay at their ``init`` values.  Every evaluation
+    returns the objective with its exact gradient and the information of
+    the conditioned model, chained through the transforms, and ``minimize``
+    steps by -F^-1 g, halving until the objective does not rise.  Start 0
+    uses ``init`` (or ``moment_init``) exactly; further starts jitter the
     unconstrained vector with Gaussian noise seeded by ``seed``.
 
     Args:
@@ -250,12 +312,11 @@ def fit(
         jitter: standard deviation of the start jitter.
         parametrization: "eta" fits the amplitudes, "q" their squares.
         tol: model series tolerance.
-        xatol, fatol, maxiter: Nelder-Mead termination controls.
+        xatol: stop once a scoring step is below this in every unconstrained coordinate.
+        maxiter: most scoring steps per start.
     """
-    for name in free:
-        if name not in PARAM_NAMES:
-            raise ValueError(f"unknown parameter {name!r}; choose from {PARAM_NAMES}")
-    free_t = tuple(name for name in PARAM_NAMES if name in set(free))
+    free_set = set(check_param_names(free))
+    free_t = tuple(name for name in PARAM_NAMES if name in free_set)
     if not free_t:
         raise ValueError("at least one parameter must be free")
     if n_starts < 1:
@@ -267,30 +328,22 @@ def fit(
     x0 = _to_unconstrained(base, free_t, parametrization)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
 
-    def objective(x: np.ndarray) -> float:
-        return kl_objective(
-            hist, _from_unconstrained(x, base, free_t, parametrization), tol
-        )
+    def evaluate(x: np.ndarray):
+        theta, slopes = _from_unconstrained(x, base, free_t, parametrization)
+        try:
+            pnd = model_pnd(theta, hist.cutoff, tol, wrt=free_t)
+        except NumericError:
+            # a trial step rounded a parameter onto its domain boundary
+            return np.inf, None, None, None
+        return (*_conditioned_kl(hist, pnd, slopes), pnd)
 
-    best = None
+    runs = []
     for start in range(n_starts):
         x_start = x0 if start == 0 else x0 + rng.normal(0.0, jitter, size=x0.size)
-        result = minimize(
-            objective,
-            x_start,
-            method="Nelder-Mead",
-            options={
-                "xatol": xatol,
-                "fatol": fatol,
-                "adaptive": True,
-                "maxiter": maxiter,
-                "maxfev": 8000,
-            },
-        )
-        if best is None or result.fun < best.fun:
-            best = result
+        runs.append(minimize(evaluate, x_start, xatol=xatol, maxiter=maxiter))
+    best = min(runs, key=lambda run: run.fun)
 
-    theta_hat = _from_unconstrained(best.x, base, free_t, parametrization)
+    theta_hat = _from_unconstrained(best.x, base, free_t, parametrization)[0]
     try:
         covariance, condition = covariance_estimate(
             hist, theta_hat, params=free_t, tol=tol
@@ -299,8 +352,7 @@ def fit(
         warnings.warn(f"covariance unavailable: {exc}", UserWarning, stacklevel=2)
         covariance, condition = None, None
 
-    probs = model_pnd(theta_hat, hist.cutoff, tol).probs
-    residual = hist.counts / hist.total - probs
+    residual = hist.counts / hist.total - best.model.probs
     return MleResult(
         theta_hat=theta_hat,
         objective=float(best.fun),
@@ -310,4 +362,7 @@ def fit(
         rms_error=float(np.sqrt(np.mean(residual**2))),
         free=free_t,
         condition_number=condition,
+        evaluations=sum(run.nfev for run in runs),
+        message=best.message,
+        start_objectives=tuple(float(run.fun) for run in runs),
     )

@@ -5,7 +5,7 @@ from scipy.signal import convolve2d
 from scipy.special import gammaln
 from scipy.stats import binom, poisson
 
-from twinloss import ParamSet
+from twinloss import PARAM_NAMES, NumericError, ParamSet, default_cutoff, model_pnd
 
 settings.register_profile(
     "suite",
@@ -131,3 +131,44 @@ def series_pnd(eta1, eta2, r, cutoff, tol=1e-14):
         n_lo += block
 
     return probs
+
+
+def _difference_step(theta, name, step):
+    """Central-difference step for one parameter, shrunk to stay in the domain."""
+    value = getattr(theta, name)
+    h = step * max(abs(value), 0.1)
+    if name in ("eta1", "eta2"):
+        if value >= 1.0:
+            h = (1.0 - value) / 2.0
+        elif value + h > 1.0:
+            h = (1.0 - value) / 2.0
+        if value - h <= 0.0:
+            h = min(h, value / 2.0)
+    else:
+        if value - h < 0.0:
+            h = value / 2.0
+    if h <= 0.0:
+        raise NumericError(
+            f"parameter {name}={value} sits on the domain boundary; "
+            "finite differences need an interior point"
+        )
+    return h
+
+
+def fd_scores(theta, params=PARAM_NAMES, cutoff=None, step=1e-5, tol=1e-14):
+    """Independent oracle: central-difference derivatives of the model grid.
+
+    Returns (dprobs, dtails), one entry per parameter, from two value-only
+    ``model_pnd`` evaluations per parameter.
+    """
+    if cutoff is None:
+        cutoff = default_cutoff(theta)
+    dprobs, dtails = [], []
+    for name in params:
+        h = _difference_step(theta, name, step)
+        value = getattr(theta, name)
+        hi = model_pnd(theta.replace(**{name: value + h}), cutoff, tol)
+        lo = model_pnd(theta.replace(**{name: value - h}), cutoff, tol)
+        dprobs.append((hi.probs - lo.probs) / (2.0 * h))
+        dtails.append((hi.tail_mass - lo.tail_mass) / (2.0 * h))
+    return dprobs, dtails

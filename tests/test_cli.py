@@ -150,6 +150,19 @@ def test_fit_batch_writes_summary_csv(tmp_path, theta_a):
     assert all(float(v) == 0.0 for v in stddev[1:8])
 
 
+def test_fit_batch_without_out_fails_before_fitting(tmp_path, capsys, monkeypatch, theta_a):
+    calls = []
+    monkeypatch.setattr("twinloss.cli.fit", lambda *args, **kwargs: calls.append(args))
+    paths = []
+    for i in range(2):
+        path = tmp_path / f"t{i}.csv"
+        write_histogram_csv(path, Histogram(counts=_exact_counts(theta_a)))
+        paths.append(str(path))
+    assert main(["fit", *paths, "--starts", "1"]) == 2
+    assert "batch fit needs --out" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_qfim_reports_inverse_diagonal(capsys):
     code = main(["qfim", "--eta1", "0.39202", "--eta2", "0.38206", "--r", "1.3"])
     assert code == 0

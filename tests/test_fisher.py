@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from conftest import fd_scores
 
 from twinloss import (
+    PARAM_NAMES,
     FisherMatrix,
     LowLossValidityWarning,
     NumericError,
@@ -20,6 +22,7 @@ from twinloss import (
     sensitivity,
     total_variance,
 )
+from twinloss import fisher
 
 
 def kl_between_models(theta_ref, theta, cutoff):
@@ -63,10 +66,38 @@ def test_classical_fim_matches_kl_curvature(theta_a):
     assert np.abs(curvature - fim.entries).max() < 5e-5 * scale
 
 
-def test_classical_fim_step_insensitive(theta_a):
-    a = classical_fim(theta_a, cutoff=12, step=1e-5).entries
-    b = classical_fim(theta_a, cutoff=12, step=5e-6).entries
-    assert np.abs(a - b).max() < 1e-4 * np.abs(a).max()
+def test_classical_fim_matches_central_differences(theta_a):
+    exact = classical_fim(theta_a, cutoff=12).entries
+    base = model_pnd(theta_a, 12)
+    mask = base.probs >= 1e-300
+    use_tail = base.tail_mass >= 1e-9
+    for step in (1e-5, 5e-6):
+        dprobs, dtails = fd_scores(theta_a, PARAM_NAMES, 12, step=step)
+        oracle = np.array(
+            [
+                [
+                    np.sum(di[mask] * dj[mask] / base.probs[mask])
+                    + (ti * tj / base.tail_mass if use_tail else 0.0)
+                    for dj, tj in zip(dprobs, dtails)
+                ]
+                for di, ti in zip(dprobs, dtails)
+            ]
+        )
+        assert np.abs(exact - oracle).max() < 1e-4 * np.abs(exact).max()
+
+
+def test_information_matrices_evaluate_the_model_once(theta_a, monkeypatch):
+    calls = []
+    original = fisher.model_pnd
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("wrt"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fisher, "model_pnd", counting)
+    classical_fim(theta_a, cutoff=8)
+    observed_fim(np.ones((9, 9)), theta_a, params=("eta1", "r"))
+    assert calls == [PARAM_NAMES, ("eta1", "r")]
 
 
 def test_classical_fim_ignores_phase(theta_a):

@@ -168,6 +168,9 @@ def test_result_to_dict_keys_and_none_covariance():
         "rms",
         "converged",
         "iterations",
+        "evaluations",
+        "message",
+        "start_objectives",
         "covariance",
         "covariance_labels",
         "condition_number",

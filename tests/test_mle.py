@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from twinloss import (
     moment_init,
     sample_shots,
 )
-from twinloss.mle import _kl_divergence
+from twinloss.io import result_to_dict, write_result_json
+from twinloss.mle import _conditioned_kl, _kl_divergence, minimize
 
 
 def exact_model_histogram(theta, scale, cutoff=None):
@@ -173,3 +176,58 @@ def test_histogram_validation():
         Histogram(counts=np.zeros((2, 2), dtype=int), overflow=-1)
     with pytest.raises(ValueError):
         Histogram.from_shots(np.zeros((0, 2), dtype=int))
+
+
+def test_objective_gradient_matches_central_differences(theta_a):
+    hist = sample_shots(theta_a, 10_000, cutoff=12, seed=21)
+    theta = theta_a.replace(eta1=0.41, r=1.25, nu2=0.05)
+    free = ("eta1", "eta2", "r", "nu1", "nu2")
+    _, grad, info = _conditioned_kl(hist, model_pnd(theta, hist.cutoff, wrt=free))
+    for i, name in enumerate(free):
+        h = 1e-6 * getattr(theta, name)
+        hi = kl_objective(hist, theta.replace(**{name: getattr(theta, name) + h}))
+        lo = kl_objective(hist, theta.replace(**{name: getattr(theta, name) - h}))
+        assert grad[i] == pytest.approx((hi - lo) / (2.0 * h), rel=1e-5, abs=1e-9)
+    assert np.array_equal(info, info.T)
+    assert np.linalg.eigvalsh(info).min() > 0.0
+
+
+def test_minimize_stops_in_place_without_information():
+    def flat(x):
+        return 0.0, np.zeros(2), np.zeros((2, 2)), None
+
+    result = minimize(flat, np.array([0.3, -0.2]))
+    assert result.success and result.nit == 0 and result.nfev == 1
+    assert np.array_equal(result.x, [0.3, -0.2])
+
+
+def test_minimize_scores_a_quadratic_in_one_step():
+    center = np.array([1.0, -2.0])
+    hessian = np.array([[2.0, 0.5], [0.5, 1.0]])
+
+    def quadratic(x):
+        d = x - center
+        return 0.5 * d @ hessian @ d, hessian @ d, hessian, None
+
+    result = minimize(quadratic, np.zeros(2))
+    assert result.success and result.message == "step below xatol"
+    assert np.abs(result.x - center).max() < 1e-12
+    assert result.nit == 1 and result.nfev == 2
+
+
+def test_fit_records_how_it_was_obtained(theta_a, tmp_path):
+    hist = sample_shots(theta_a, 10**5, 16, seed=0, stream=3)
+    result = fit(hist, theta_a, free=("eta1", "eta2", "r"), n_starts=2, seed=0)
+    assert result.converged
+    assert 0 < result.evaluations < 100
+    assert result.message == "step below xatol"
+    assert len(result.start_objectives) == 2
+    assert result.objective == min(result.start_objectives)
+
+    path = tmp_path / "result.json"
+    write_result_json(path, result)
+    doc = json.loads(path.read_text())
+    assert doc == json.loads(json.dumps(result_to_dict(result)))
+    assert doc["evaluations"] == result.evaluations
+    assert doc["message"] == result.message
+    assert doc["start_objectives"] == list(result.start_objectives)

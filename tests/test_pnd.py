@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from conftest import dark_count_oracle, mixture_pnd, series_pnd
+from conftest import dark_count_oracle, fd_scores, mixture_pnd, series_pnd
 from scipy.stats import binom, poisson
 
 from twinloss import (
+    PARAM_NAMES,
     JointPND,
+    NumericError,
     ParamSet,
     apply_dark_counts,
     default_cutoff,
@@ -104,6 +106,101 @@ def test_first_column_matches_closed_form(eta1, eta2, r):
     big = want > 1e-250
     assert np.all(np.abs(got - want)[big] <= 1e-11 * want[big])
     assert np.abs(got - want).max() <= 1e-13
+
+
+@given(
+    eta1=st.floats(0.05, 0.99),
+    eta2=st.floats(0.05, 0.99),
+    r=st.floats(0.05, 2.0),
+    ca=st.integers(0, 12),
+    cb=st.integers(0, 12),
+    nu1=st.floats(1e-6, 3.0),
+    nu2=st.floats(1e-6, 3.0),
+)
+def test_scores_match_central_differences(eta1, eta2, r, ca, cb, nu1, nu2):
+    # nu starts at 1e-6: closer to 0 the oracle's step shrinks to nu / 2 and
+    # its roundoff, not the score, sets the difference
+    theta = ParamSet(eta1=eta1, eta2=eta2, r=r, nu1=nu1, nu2=nu2)
+    pnd = model_pnd(theta, (ca, cb), wrt=PARAM_NAMES)
+    # Richardson extrapolation of two central differences: where a score is
+    # ~1e-4 of p (eta and r near 0.05), a single difference small enough to
+    # be accurate is swamped by roundoff; a tight oracle tolerance keeps
+    # truncation noise out
+    coarse, _ = fd_scores(theta, PARAM_NAMES, (ca, cb), step=2e-3, tol=1e-18)
+    fine, _ = fd_scores(theta, PARAM_NAMES, (ca, cb), step=1e-3, tol=1e-18)
+    for name, c, f in zip(PARAM_NAMES, coarse, fine):
+        got, want = pnd.scores[name], (4.0 * f - c) / 3.0
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+        assert abs(pnd.tail_scores[name] + got.sum()) <= 1e-13
+
+
+def test_scores_match_fixed_sum_in_far_corner():
+    # rho = 0.88 on a wide grid: the score terms peak near N ~ 700 and the
+    # certified sum runs to about 2000 pair numbers
+    eta1, eta2, r = 0.1, 0.2, 2.0
+    got = lossy_tmsv_pnd(eta1, eta2, r, 40, wrt=("eta1", "eta2", "r")).scores
+    n = np.arange(4001)[:, None]
+    k = np.arange(41)[None, :]
+    w = np.tanh(r) ** (2 * n) / np.cosh(r) ** 2
+    b1 = binom.pmf(k, n, eta1**2)
+    b2 = binom.pmf(k, n, eta2**2)
+    g1 = 2 * k / eta1 - 2 * eta1 * (n - k) / (1 - eta1**2)
+    g2 = 2 * k / eta2 - 2 * eta2 * (n - k) / (1 - eta2**2)
+    gr = 2 * n / (np.sinh(r) * np.cosh(r)) - 2 * np.tanh(r)
+    # each score against its fixed-N sum, per bin, on the scale of the sum of |terms|
+    for name, (left, right) in {
+        "eta1": (b1 * g1, w * b2),
+        "eta2": (b1, w * b2 * g2),
+        "r": (b1, w * gr * b2),
+    }.items():
+        want = left.T @ right
+        scale = np.abs(left).T @ np.abs(right)
+        big = scale > 1e-250
+        assert np.all(np.abs(got[name] - want)[big] <= 1e-11 * scale[big])
+
+
+@pytest.mark.parametrize(
+    "changes,name",
+    [
+        ({"eta1": 1.0}, "eta1"),
+        ({"eta2": 1.0}, "eta2"),
+        ({"r": 0.0}, "r"),
+        ({"nu1": 0.0}, "nu1"),
+        ({"nu2": 0.0}, "nu2"),
+    ],
+)
+def test_scores_on_domain_boundary_rejected(theta_a, changes, name):
+    theta = theta_a.replace(**changes)
+    with pytest.raises(NumericError, match=name):
+        model_pnd(theta, 6, wrt=(name,))
+    # the same point is fine when that parameter is not differentiated
+    others = tuple(other for other in PARAM_NAMES if other not in changes)
+    assert set(model_pnd(theta, 6, wrt=others).scores) == set(others)
+
+
+def test_scores_follow_wrt_and_reject_unknown_names(theta_a):
+    assert model_pnd(theta_a, 6).scores == {}
+    pnd = model_pnd(theta_a, 6, wrt=("nu2", "r"))
+    assert set(pnd.scores) == {"nu2", "r"}
+    assert set(pnd.tail_scores) == {"nu2", "r"}
+    with pytest.raises(ValueError, match="phi"):
+        model_pnd(theta_a, 6, wrt=("phi",))
+    with pytest.raises(ValueError):
+        lossy_tmsv_pnd(0.5, 0.5, 1.0, 6, wrt=("nu1",))
+
+
+def test_vacuum_scores_in_transmission_vanish():
+    pnd = lossy_tmsv_pnd(0.7, 0.9, 0.0, 4, wrt=("eta1", "eta2"))
+    assert not pnd.scores["eta1"].any() and not pnd.scores["eta2"].any()
+
+
+def test_terms_near_smallest_certified_count(theta_a):
+    # 166 (cutoff 16) and 264 (default cutoff 34) pair-number terms are the
+    # fewest that certify both values and scores at point A
+    for cutoff, smallest in ((16, 166), (default_cutoff(theta_a), 264)):
+        for wrt in ((), ("eta1", "eta2", "r")):
+            terms = lossy_tmsv_pnd(theta_a.eta1, theta_a.eta2, theta_a.r, cutoff, wrt=wrt).terms
+            assert smallest <= terms <= 1.1 * smallest
 
 
 def test_terms_exceed_cutoff_and_grow_with_squeezing():
