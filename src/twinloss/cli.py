@@ -92,11 +92,17 @@ def _emit_json(obj, out: str | None) -> None:
         tio.write_json(out, obj)
 
 
+def _map_jobs(func, payloads, jobs: int) -> list:
+    """``func`` over ``payloads`` in order, on ``jobs`` worker processes when jobs > 1."""
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(func, payloads))
+    return [func(p) for p in payloads]
+
+
 def _simulate_one(payload) -> tuple[str, int]:
-    theta_dict, shots, cutoff, seed, stream, tol, path = payload
-    hist = sample_shots(
-        ParamSet(**theta_dict), shots, cutoff, seed=seed, stream=stream, tol=tol
-    )
+    theta, shots, cutoff, seed, stream, tol, path = payload
+    hist = sample_shots(theta, shots, cutoff, seed=seed, stream=stream, tol=tol)
     tio.write_histogram_csv(path, hist)
     return path, hist.overflow
 
@@ -112,7 +118,7 @@ def cmd_simulate(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     payloads = [
         (
-            theta.to_dict(),
+            theta,
             args.shots,
             cutoff,
             seed,
@@ -122,11 +128,7 @@ def cmd_simulate(args) -> int:
         )
         for stream in range(args.trials)
     ]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_simulate_one, payloads))
-    else:
-        results = [_simulate_one(p) for p in payloads]
+    results = _map_jobs(_simulate_one, payloads, args.jobs)
     for path, overflow in results:
         if overflow:
             print(f"{path}: {overflow} overflow shots", file=sys.stderr)
@@ -135,9 +137,8 @@ def cmd_simulate(args) -> int:
 
 
 def _fit_one(payload) -> dict:
-    path, ingest, init_dict, free, starts, seed, parametrization, tol = payload
+    path, ingest, init, free, starts, seed, parametrization, tol = payload
     hist = _read_histogram(path, ingest)
-    init = ParamSet(**init_dict) if init_dict is not None else None
     result = fit(
         hist,
         init,
@@ -155,13 +156,9 @@ def _fit_one(payload) -> dict:
 def cmd_fit(args) -> int:
     seed = _resolve_seed(args)
     free = _parse_free(args.free)
-    init_dict = (
-        tio.params_to_dict(tio.read_params_json(args.init_json))
-        if args.init_json
-        else None
-    )
+    init = tio.read_params_json(args.init_json) if args.init_json else None
     payloads = [
-        (path, args.ingest, init_dict, free, args.starts, seed, args.parametrization, args.tol)
+        (path, args.ingest, init, free, args.starts, seed, args.parametrization, args.tol)
         for path in args.inputs
     ]
     if len(payloads) > 1 and args.out is None:
@@ -173,11 +170,7 @@ def cmd_fit(args) -> int:
         _emit_json(row, args.out)
         return 0
 
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_fit_one, payloads))
-    else:
-        rows = [_fit_one(p) for p in payloads]
+    rows = _map_jobs(_fit_one, payloads, args.jobs)
 
     # one record per fit holding every summary column
     table = [{**row["theta_hat"], **row} for row in rows]

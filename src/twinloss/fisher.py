@@ -15,8 +15,8 @@ import warnings
 
 import numpy as np
 
-from .gaussian import qfim_inverse_analytic, three_param_qfim
-from .pnd import PARAM_NAMES, NumericError, ParamSet, default_cutoff, model_pnd
+from .gaussian import qfim_inverse_analytic
+from .pnd import PARAM_NAMES, NumericError, ParamSet, _check_domain, default_cutoff, model_pnd
 
 ETA_LABELS = ("eta1", "eta2")
 
@@ -188,19 +188,21 @@ def qfim_fock(m: float, n: float, eta1: float, eta2: float) -> FisherMatrix:
     )
 
 
-def qfim_lowloss_tmsv(eta1: float, eta2: float, r: float) -> FisherMatrix:
+def qfim_lowloss_tmsv(eta1: float, eta2: float, r: float) -> np.ndarray:
     """Low-loss approximation to the twin-beam quantum Fisher matrix over (eta1, eta2).
 
     E [[1/(1 - eta1) - (3/2 + 5E), -4 - 3E], [-4 - 3E, 1/(1 - eta2) - (3/2 + 5E)]]
-    with E = 2 sinh(r)^2, valid to first order in (1 - eta_i).  Evaluating far
-    from eta_i ~ 1 emits a LowLossValidityWarning.
+    with E = 2 sinh(r)^2, valid to first order in (1 - eta_i).  It is returned
+    as a plain 2x2 array, not a FisherMatrix: far from eta_i ~ 1 the expansion
+    can be indefinite, so it is not always an information matrix, and callers
+    check its eigenvalues before treating it as one.  Evaluating at eta_i < 0.9
+    emits a LowLossValidityWarning.
     """
-    if eta1 >= 1.0 or eta2 >= 1.0:
-        raise ValueError("diagonal diverges at eta = 1; the approximation needs eta < 1")
-    if eta1 <= 0.0 or eta2 <= 0.0:
-        raise ValueError("transmission amplitudes must be positive")
-    if r <= 0.0:
-        raise ValueError(f"squeezing parameter must be > 0, got r={r}")
+    _check_domain(eta1=eta1, eta2=eta2, r=r)
+    if eta1 == 1.0 or eta2 == 1.0 or r == 0.0:
+        raise ValueError(
+            f"the expansion needs eta < 1 and r > 0, got eta1={eta1}, eta2={eta2}, r={r}"
+        )
     if min(eta1, eta2) < 0.9:
         warnings.warn(
             "low-loss expansion evaluated at eta < 0.9; first-order accuracy is lost",
@@ -210,26 +212,26 @@ def qfim_lowloss_tmsv(eta1: float, eta2: float, r: float) -> FisherMatrix:
     energy = 2.0 * np.sinh(r) ** 2
     diag_shift = 1.5 + 5.0 * energy
     off = -4.0 - 3.0 * energy
-    entries = energy * np.array(
+    return energy * np.array(
         [
             [1.0 / (1.0 - eta1) - diag_shift, off],
             [off, 1.0 / (1.0 - eta2) - diag_shift],
         ]
     )
-    # far from eta ~ 1 the expansion loses positive semidefiniteness; keep the
-    # raw entries and bypass the constructor check so callers can inspect them
-    matrix = object.__new__(FisherMatrix)
-    object.__setattr__(matrix, "labels", ETA_LABELS)
-    object.__setattr__(matrix, "entries", entries)
-    return matrix
 
 
 def qfim_tmsv(eta1: float, eta2: float, r: float) -> FisherMatrix:
-    """Exact three-parameter twin-beam quantum Fisher matrix over (eta1, eta2, r)."""
-    qfim, cond = three_param_qfim(eta1, eta2, r)
+    """Exact three-parameter twin-beam quantum Fisher matrix over (eta1, eta2, r).
+
+    The inverse of the closed-form bound ``qfim_inverse_analytic``; an ill
+    conditioned bound (condition number above 1e12) raises NumericError.
+    """
+    bound = qfim_inverse_analytic(eta1, eta2, r).entries
+    cond = float(np.linalg.cond(bound))
     if not np.isfinite(cond) or cond > 1e12:
         raise NumericError(f"variance bound is ill conditioned (condition number {cond:.3g})")
-    return FisherMatrix(labels=("eta1", "eta2", "r"), entries=qfim)
+    qfim = np.linalg.inv(bound)
+    return FisherMatrix(labels=("eta1", "eta2", "r"), entries=0.5 * (qfim + qfim.T))
 
 
 def total_variance(fim: FisherMatrix) -> float:
@@ -286,12 +288,12 @@ def _sensitivity_for_source(source: str, eta1: float, eta2: float, r: float, tol
     if source == "lowloss-qfim":
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LowLossValidityWarning)
-            fim = qfim_lowloss_tmsv(eta1, eta2, r)
-        if fim.smallest_eigenvalue() <= 0.0:
+            entries = qfim_lowloss_tmsv(eta1, eta2, r)
+        if np.linalg.eigvalsh(entries).min() <= 0.0:
             # outside its validity regime the expansion stops being an
             # information matrix; treat as no quantum advantage
             return -np.inf
-        return sensitivity(fim)
+        return sensitivity(FisherMatrix(labels=ETA_LABELS, entries=entries))
     raise ValueError(
         f"unknown information source {source!r}; choose pnrd-fim, "
         "three-param-qfim, or lowloss-qfim"

@@ -12,6 +12,8 @@ import dataclasses
 import numpy as np
 from scipy.linalg import block_diag
 
+from .pnd import _check_domain
+
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Block-diagonal symplectic form, [[0, 1], [-1, 0]] per mode."""
@@ -125,12 +127,11 @@ def qfim_inverse_analytic(eta1: float, eta2: float, r: float) -> QfimInverse:
     and symmetrically for eta2; the r bound is 1/2 + (1 - eta1^2 - eta2^2) /
     (4 eta1^2 eta2^2).
     """
-    if not (0.0 < eta1 < 1.0) or not (0.0 < eta2 < 1.0):
+    _check_domain(eta1=eta1, eta2=eta2, r=r)
+    if eta1 == 1.0 or eta2 == 1.0 or r == 0.0:
         raise ValueError(
-            f"transmission amplitudes must lie in (0, 1), got eta1={eta1}, eta2={eta2}"
+            f"the bound needs eta < 1 and r > 0, got eta1={eta1}, eta2={eta2}, r={r}"
         )
-    if r <= 0.0:
-        raise ValueError(f"squeezing parameter must be > 0, got r={r}")
     csch2 = 1.0 / np.sinh(r) ** 2
     coth = 1.0 / np.tanh(r)
     m = np.empty((3, 3))
@@ -141,14 +142,3 @@ def qfim_inverse_analytic(eta1: float, eta2: float, r: float) -> QfimInverse:
     m[0, 2] = m[2, 0] = -(eta1**2 - 1.0) * (eta2**2 - 1.0) * coth / (4.0 * eta1 * eta2**2)
     m[1, 2] = m[2, 1] = -(eta1**2 - 1.0) * (eta2**2 - 1.0) * coth / (4.0 * eta1**2 * eta2)
     return QfimInverse(entries=m)
-
-
-def three_param_qfim(eta1: float, eta2: float, r: float) -> tuple[np.ndarray, float]:
-    """Quantum Fisher matrix over (eta1, eta2, r) with its condition number.
-
-    Obtained by numerically inverting the closed-form covariance bound.
-    """
-    bound = qfim_inverse_analytic(eta1, eta2, r).entries
-    cond = float(np.linalg.cond(bound))
-    qfim = np.linalg.inv(bound)
-    return 0.5 * (qfim + qfim.T), cond

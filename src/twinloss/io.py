@@ -18,8 +18,6 @@ import numpy as np
 from .mle import Histogram, MleResult
 from .pnd import ParamSet
 
-PARAM_KEYS = ("eta1", "eta2", "r", "nu1", "nu2", "phi")
-
 
 def _atomic_write_text(path, text: str) -> None:
     path = os.fspath(path)
@@ -135,33 +133,26 @@ def read_shot_list(path) -> Histogram:
     return Histogram.from_shots(np.array(pairs, dtype=np.int64))
 
 
-def params_to_dict(theta: ParamSet) -> dict:
-    return {key: float(getattr(theta, key)) for key in PARAM_KEYS}
-
-
 def write_params_json(path, theta: ParamSet) -> None:
-    write_json(path, params_to_dict(theta))
+    write_json(path, theta.to_dict())
 
 
 def read_params_json(path) -> ParamSet:
-    """Load a parameter set; eta1, eta2, r are required, the rest default to 0."""
+    """Load a parameter set through ``ParamSet.from_dict``, naming the file in errors."""
     with open(path, encoding="utf-8") as handle:
         raw = json.load(handle)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    unknown = set(raw) - set(PARAM_KEYS)
-    if unknown:
-        raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
-    missing = {"eta1", "eta2", "r"} - set(raw)
-    if missing:
-        raise ValueError(f"{path}: missing keys {sorted(missing)}")
-    return ParamSet(**{key: float(value) for key, value in raw.items()})
+    try:
+        return ParamSet.from_dict(raw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def result_to_dict(result: MleResult) -> dict:
     """JSON-ready view of a fit result."""
     return {
-        "theta_hat": params_to_dict(result.theta_hat),
+        "theta_hat": result.theta_hat.to_dict(),
         "free": list(result.free),
         "objective_nats": float(result.objective),
         "rms": float(result.rms_error),

@@ -18,7 +18,9 @@ from scipy.optimize import OptimizeResult
 from scipy.special import expit, logit
 
 from .fisher import _gram, _safe_inverse, observed_fim
-from .pnd import PARAM_NAMES, JointPND, NumericError, ParamSet, check_param_names, model_pnd
+from .pnd import (
+    PARAM_NAMES, JointPND, NumericError, ParamSet, _normalize_cutoff, check_param_names, model_pnd
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,10 +77,8 @@ class Histogram:
         pairs = pairs.astype(np.int64)
         if cutoff is None:
             ca, cb = int(pairs[:, 0].max()), int(pairs[:, 1].max())
-        elif np.isscalar(cutoff):
-            ca = cb = int(cutoff)
         else:
-            ca, cb = (int(c) for c in cutoff)
+            ca, cb = _normalize_cutoff(cutoff)
         inside = (pairs[:, 0] <= ca) & (pairs[:, 1] <= cb)
         kept = pairs[inside]
         flat = np.bincount(
@@ -110,6 +110,11 @@ class MleResult:
     evaluations: int = 0
     message: str = ""
     start_objectives: tuple[float, ...] = ()
+
+
+def _rms_residual(hist: Histogram, probs: np.ndarray) -> float:
+    """Root-mean-square of (empirical frequency - model probability) over the grid."""
+    return float(np.sqrt(np.mean((hist.counts / hist.total - probs) ** 2)))
 
 
 def _kl_divergence(q: np.ndarray, p: np.ndarray) -> float:
@@ -352,14 +357,13 @@ def fit(
         warnings.warn(f"covariance unavailable: {exc}", UserWarning, stacklevel=2)
         covariance, condition = None, None
 
-    residual = hist.counts / hist.total - best.model.probs
     return MleResult(
         theta_hat=theta_hat,
         objective=float(best.fun),
         iterations=int(best.nit),
         converged=bool(best.success) and np.isfinite(best.fun),
         covariance=covariance,
-        rms_error=float(np.sqrt(np.mean(residual**2))),
+        rms_error=_rms_residual(hist, best.model.probs),
         free=free_t,
         condition_number=condition,
         evaluations=sum(run.nfev for run in runs),

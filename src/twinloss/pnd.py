@@ -11,6 +11,7 @@ the truncated series, optionally with its exact derivatives (scores).
 from __future__ import annotations
 
 import dataclasses
+import numbers
 
 import numpy as np
 from scipy import stats
@@ -44,14 +45,14 @@ def check_param_names(names) -> tuple[str, ...]:
 
 
 def _check_domain(wrt=(), **values) -> None:
-    """Validate parameter values: eta in (0, 1], r and nu >= 0, else ValueError.
+    """Validate parameter values: eta in (0, 1], r and nu finite and >= 0, else ValueError.
 
     A name in ``wrt`` must also be off its boundary (eta = 1, r = 0, nu = 0),
     where its score is undefined, else NumericError.
     """
     for name, value in values.items():
         eta = name.startswith("eta")
-        if not (0.0 < value <= 1.0 if eta else value >= 0.0):
+        if not (0.0 < value <= 1.0 if eta else 0.0 <= value < np.inf):
             raise ValueError(f"{name} must lie in {'(0, 1]' if eta else '[0, inf)'}, got {value}")
         if name in wrt and value == float(eta):
             raise NumericError(
@@ -90,11 +91,26 @@ class ParamSet:
         return np.array([getattr(self, name) for name in names], dtype=float)
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in PARAM_NAMES + ("phi",)}
+        """Every field as a float, keyed by name."""
+        return {f.name: float(getattr(self, f.name)) for f in dataclasses.fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ParamSet":
-        return cls(**{k: float(data[k]) for k in PARAM_NAMES + ("phi",) if k in data})
+        """Inverse of ``to_dict``: eta1, eta2 and r are required, the rest default to 0.
+
+        Unknown or missing keys and values that are not real numbers (bool
+        included) raise ValueError naming them.
+        """
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
+        missing = set(LOSS_NAMES) - set(data)
+        if missing:
+            raise ValueError(f"missing keys {sorted(missing)}")
+        for key, value in data.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{key} must be a number, got {value!r}")
+        return cls(**{key: float(value) for key, value in data.items()})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -345,8 +361,8 @@ def lowloss_three_outcome(eta1: float, eta2: float, r: float) -> tuple[float, fl
     one photon from arm b.  These three weights carry all parameter
     information to first order in (1 - eta_i).
     """
-    _check_domain(eta1=eta1, eta2=eta2)
-    if r <= 0.0:
+    _check_domain(eta1=eta1, eta2=eta2, r=r)
+    if r == 0.0:
         raise ValueError(f"squeezing parameter must be > 0, got r={r}")
     lam1 = (1.0 - eta1**2) / eta1**2
     lam2 = (1.0 - eta2**2) / eta2**2

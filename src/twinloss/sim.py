@@ -12,10 +12,9 @@ import warnings
 
 import numpy as np
 
-from .mle import Histogram
+from .mle import Histogram, _rms_residual
 from .pnd import ParamSet, default_cutoff, model_pnd
 
-_CHUNK = 10_000_000
 BOOTSTRAP_MODES = (
     "nonparam-with-replacement",
     "nonparam-without-replacement",
@@ -32,31 +31,14 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     )
 
 
-def _draw_counts(
-    flat_probs: np.ndarray,
-    n_shots: int,
-    rng: np.random.Generator,
-    complete: bool = False,
-):
-    """Multinomial draw by inverse CDF; returns (flat counts, overflow count).
+def _draw_counts(flat_probs: np.ndarray, n_shots: int, rng: np.random.Generator):
+    """One multinomial draw over the bins; returns (flat counts, overflow count).
 
-    With ``complete`` the probabilities are taken to sum to one exactly and
-    the last CDF entry is pinned there, so nothing overflows.
+    The overflow bin appended last takes the mass the bins leave, since
+    ``Generator.multinomial`` gives its last category the remainder.
     """
-    cdf = np.cumsum(flat_probs)
-    if complete:
-        cdf[-1] = 1.0
-    size = flat_probs.size
-    counts = np.zeros(size + 1, dtype=np.int64)
-    remaining = n_shots
-    while remaining > 0:
-        block = min(remaining, _CHUNK)
-        u = rng.random(block)
-        counts += np.bincount(
-            np.searchsorted(cdf, u, side="right"), minlength=size + 1
-        )
-        remaining -= block
-    return counts[:size], int(counts[size])
+    counts = rng.multinomial(n_shots, np.append(flat_probs, 0.0))
+    return counts[:-1], int(counts[-1])
 
 
 def sample_shots(
@@ -164,15 +146,14 @@ def group_trials(trials: TrialSet, group_size: int) -> TrialSet:
             UserWarning,
             stacklevel=2,
         )
-    grouped = []
-    for g in range(n_groups):
-        block = trials.histograms[g * group_size : (g + 1) * group_size]
-        grouped.append(
-            Histogram(
-                counts=np.sum([h.counts for h in block], axis=0),
-                overflow=sum(h.overflow for h in block),
-            )
-        )
+    grouped = (
+        TrialSet(
+            histograms=trials.histograms[g * group_size : (g + 1) * group_size],
+            shots_per_trial=trials.shots_per_trial,
+            seed=trials.seed,
+        ).pooled()
+        for g in range(n_groups)
+    )
     return TrialSet(
         histograms=tuple(grouped),
         shots_per_trial=group_size * trials.shots_per_trial,
@@ -222,11 +203,16 @@ def bootstrap(
 
     shape = hist.counts.shape
     flat_counts = hist.counts.ravel()
+    observed = flat_counts > 0
     replicas = []
     for i in range(n_resamples):
         rng = rng_stream(seed, i)
         if mode == "nonparam-with-replacement":
-            flat, _ = _draw_counts(flat_counts / total, size, rng, complete=True)
+            # over the observed bins alone: multinomial hands the roundoff
+            # remainder to the last category, which is then an observed bin,
+            # and there is no overflow bin, so every replica holds ``size`` shots
+            flat = np.zeros_like(flat_counts)
+            flat[observed] = rng.multinomial(size, flat_counts[observed] / total)
             replicas.append(Histogram(counts=flat.reshape(shape), overflow=0))
         elif mode == "nonparam-without-replacement":
             flat = rng.multivariate_hypergeometric(flat_counts, size)
@@ -258,5 +244,4 @@ def rms_error(hist: Histogram, theta: ParamSet, tol: float = 1e-14) -> float:
     """Root-mean-square of (empirical - model) over the data grid."""
     if hist.total <= 0:
         raise ValueError("histogram holds no grid counts")
-    probs = model_pnd(theta, hist.cutoff, tol).probs
-    return float(np.sqrt(np.mean((hist.counts / hist.total - probs) ** 2)))
+    return _rms_residual(hist, model_pnd(theta, hist.cutoff, tol).probs)

@@ -285,6 +285,17 @@ def test_validation_error_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_malformed_init_json_exits_2(tmp_path, capsys):
+    init_path = tmp_path / "init.json"
+    init_path.write_text(json.dumps({"eta1": None, "eta2": 0.5, "r": 1.0}))
+    data = tmp_path / "data.csv"
+    write_histogram_csv(data, Histogram(counts=np.array([[5]])))
+    code = main(["fit", str(data), "--init-json", str(init_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "init.json" in err and "eta1" in err
+
+
 def test_bad_cutoff_exits_2(tmp_path):
     code = main(
         [

@@ -15,6 +15,8 @@ from twinloss import (
     lossy_tmsv_pnd,
     lowloss_three_outcome,
     model_pnd,
+    qfim_inverse_analytic,
+    qfim_lowloss_tmsv,
 )
 
 
@@ -329,6 +331,31 @@ def test_out_of_domain_parameters_rejected(kwargs):
         ParamSet(**kwargs)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: ParamSet(eta1=0.4, eta2=0.4, r=v),
+        lambda v: ParamSet(eta1=0.4, eta2=0.4, r=1.0, nu1=v),
+        lambda v: lossy_tmsv_pnd(0.4, 0.4, v, 8),
+        lambda v: qfim_inverse_analytic(0.5, 0.5, v),
+        lambda v: qfim_lowloss_tmsv(0.99, 0.99, v),
+        lambda v: lowloss_three_outcome(0.9, 0.9, v),
+    ],
+    ids=[
+        "ParamSet-r",
+        "ParamSet-nu1",
+        "lossy_tmsv_pnd",
+        "qfim_inverse_analytic",
+        "qfim_lowloss_tmsv",
+        "lowloss_three_outcome",
+    ],
+)
+def test_non_finite_parameters_rejected(call, bad):
+    with pytest.raises(ValueError, match="must lie in"):
+        call(bad)
+
+
 def test_bad_cutoff_rejected():
     theta = ParamSet(eta1=0.5, eta2=0.5, r=1.0)
     with pytest.raises(ValueError):
@@ -346,6 +373,14 @@ def test_joint_pnd_rejects_bad_grids():
 
 def test_param_set_round_trip(theta_a):
     assert ParamSet.from_dict(theta_a.to_dict()) == theta_a
+    assert all(type(v) is float for v in ParamSet(eta1=1, eta2=1, r=0).to_dict().values())
     assert tuple(theta_a.values(("r", "eta2"))) == (theta_a.r, theta_a.eta2)
     bumped = theta_a.replace(r=1.5)
     assert bumped.r == 1.5 and bumped.eta1 == theta_a.eta1
+
+
+def test_param_set_from_dict_rejects_unknown_and_missing_keys():
+    with pytest.raises(ValueError, match=r"unknown keys \['gamma'\]"):
+        ParamSet.from_dict({"eta1": 0.5, "eta2": 0.6, "r": 1.0, "gamma": 2})
+    with pytest.raises(ValueError, match=r"missing keys \['r'\]"):
+        ParamSet.from_dict({"eta1": 0.5, "eta2": 0.6})

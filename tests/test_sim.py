@@ -61,6 +61,16 @@ def test_sample_shots_mean_within_clt_band(theta_a):
     )
 
 
+def test_sample_shots_overflow_matches_tail_mass(theta_a):
+    n_shots = 10**5
+    tail = model_pnd(theta_a, 4).tail_mass
+    with pytest.warns(UserWarning, match="overflow"):
+        hist = sample_shots(theta_a, n_shots, cutoff=4, seed=0)
+    assert hist.shots == n_shots
+    band = 4.0 * np.sqrt(tail * (1.0 - tail) / n_shots)
+    assert abs(hist.overflow / n_shots - tail) < band
+
+
 def test_sample_shots_warns_on_large_tail(theta_a):
     with pytest.warns(UserWarning, match="overflow"):
         sample_shots(theta_a, 100, cutoff=4, seed=0)
