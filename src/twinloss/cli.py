@@ -101,8 +101,8 @@ def _map_jobs(func, payloads, jobs: int) -> list:
 
 
 def _simulate_one(payload) -> tuple[str, int]:
-    theta, shots, cutoff, seed, stream, tol, path = payload
-    hist = sample_shots(theta, shots, cutoff, seed=seed, stream=stream, tol=tol)
+    theta, shots, cutoff, seed, stream, path = payload
+    hist = sample_shots(theta, shots, cutoff, seed=seed, stream=stream)
     tio.write_histogram_csv(path, hist)
     return path, hist.overflow
 
@@ -123,7 +123,6 @@ def cmd_simulate(args) -> int:
             cutoff,
             seed,
             stream,
-            args.tol,
             os.path.join(args.out_dir, f"{args.prefix}{stream:04d}.csv"),
         )
         for stream in range(args.trials)
@@ -137,16 +136,10 @@ def cmd_simulate(args) -> int:
 
 
 def _fit_one(payload) -> dict:
-    path, ingest, init, free, starts, seed, parametrization, tol = payload
+    path, ingest, init, free, starts, seed, parametrization = payload
     hist = _read_histogram(path, ingest)
     result = fit(
-        hist,
-        init,
-        free=free,
-        n_starts=starts,
-        seed=seed,
-        parametrization=parametrization,
-        tol=tol,
+        hist, init, free=free, n_starts=starts, seed=seed, parametrization=parametrization
     )
     row = {"file": path}
     row.update(tio.result_to_dict(result))
@@ -158,7 +151,7 @@ def cmd_fit(args) -> int:
     free = _parse_free(args.free)
     init = tio.read_params_json(args.init_json) if args.init_json else None
     payloads = [
-        (path, args.ingest, init, free, args.starts, seed, args.parametrization, args.tol)
+        (path, args.ingest, init, free, args.starts, seed, args.parametrization)
         for path in args.inputs
     ]
     if len(payloads) > 1 and args.out is None:
@@ -192,7 +185,7 @@ def cmd_fit(args) -> int:
 def cmd_fisher(args) -> int:
     theta = _theta_from_args(args)
     params = _parse_free(args.params)
-    fim = classical_fim(theta, params=params, cutoff=_parse_cutoff(args.cutoff), tol=args.tol)
+    fim = classical_fim(theta, params=params, cutoff=_parse_cutoff(args.cutoff))
     _emit_json(
         {
             "labels": list(fim.labels),
@@ -224,7 +217,7 @@ def cmd_qfim(args) -> int:
 
 
 def cmd_crossover(args) -> int:
-    curve = crossover_curve(args.r, source=args.source, n_rays=args.rays, tol=args.tol)
+    curve = crossover_curve(args.r, source=args.source, n_rays=args.rays)
     tio.write_csv(args.out, ("eta1", "eta2"), curve.points.tolist())
     try:
         diagonal = curve.diagonal_point()
@@ -302,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1, help="number of independent trials")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default TWINLOSS_SEED or 0)")
     p.add_argument("--cutoff", default=None, help="grid cutoff, integer or 'a,b'")
-    p.add_argument("--tol", type=float, default=1e-14, help="series truncation tolerance")
     p.add_argument("--out-dir", required=True, help="directory for histogram CSVs")
     p.add_argument("--prefix", default="trial-", help="output filename prefix")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
@@ -318,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--parametrization", choices=("eta", "q"), default="eta", help="fit eta or q = eta^2"
     )
-    p.add_argument("--tol", type=float, default=1e-14, help="series truncation tolerance")
     p.add_argument("--out", default=None, help="result JSON (single) or summary CSV (batch)")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.set_defaults(func=cmd_fit)
@@ -329,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--params", default=",".join(PARAM_NAMES), help="comma-separated parameters to differentiate"
     )
     p.add_argument("--cutoff", default=None, help="grid cutoff, integer or 'a,b'")
-    p.add_argument("--tol", type=float, default=1e-14, help="series truncation tolerance")
     p.add_argument("--out", default=None, help="output JSON (default stdout)")
     p.set_defaults(func=cmd_fisher)
 
@@ -348,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="pnrd-fim",
     )
     p.add_argument("--rays", type=int, default=17, help="rays through the (eta1, eta2) square")
-    p.add_argument("--tol", type=float, default=1e-14, help="series truncation tolerance")
     p.add_argument("--out", required=True, help="curve CSV path")
     p.set_defaults(func=cmd_crossover)
 

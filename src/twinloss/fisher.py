@@ -14,11 +14,19 @@ import dataclasses
 import warnings
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .gaussian import qfim_inverse_analytic
-from .pnd import PARAM_NAMES, NumericError, ParamSet, _check_domain, default_cutoff, model_pnd
+from .pnd import P_FLOOR, PARAM_NAMES, NumericError, ParamSet, _check_domain, model_pnd
 
 ETA_LABELS = ("eta1", "eta2")
+# The tail mass is 1 - sum p, which cancels to roundoff near 1e-12 and is
+# clamped to 0 there; below this its 1/p weight would amplify roundoff (or
+# divide by zero) while its true contribution is negligible.
+TAIL_FLOOR = 1e-9
+# smallest and largest amplitude a crossover ray probes
+ETA_FLOOR = 0.02
+ETA_CEILING = 1.0 - 1e-6
 
 
 class LowLossValidityWarning(UserWarning):
@@ -38,6 +46,8 @@ class FisherMatrix:
             raise ValueError(
                 f"entries shape {self.entries.shape} does not match {n} labels"
             )
+        if not np.isfinite(self.entries).all():
+            raise ValueError("information matrix has non-finite entries")
         scale = max(1.0, float(np.abs(self.entries).max()))
         if float(np.abs(self.entries - self.entries.T).max()) > 1e-12 * scale:
             raise ValueError("information matrix is not symmetric")
@@ -76,38 +86,27 @@ def classical_fim(
     theta: ParamSet,
     params: tuple[str, ...] = PARAM_NAMES,
     cutoff=None,
-    tol: float = 1e-14,
-    p_floor: float = 1e-300,
-    tail_floor: float = 1e-9,
 ) -> FisherMatrix:
     """Fisher information of the count distribution, per shot.
 
     H_ij = sum over outcomes of (d_i p)(d_j p)/p, with the exact scores of
     one ``model_pnd`` evaluation.  Outcomes are the grid bins with p >=
-    p_floor plus, when its mass is at least ``tail_floor``, the aggregated
+    P_FLOOR plus, when its mass is at least ``TAIL_FLOOR``, the aggregated
     beyond-cutoff event, so the information always corresponds to a genuine
-    measurement.  The tail mass is 1 - sum p, which cancels to roundoff near
-    1e-12 and is clamped to 0 there, so below ``tail_floor`` its 1/p weight
-    would amplify roundoff (or divide by zero) while its true contribution
-    is negligible; it is dropped.
+    measurement.
 
     Args:
         theta: evaluation point, interior in every differentiated parameter
             (eta < 1, r > 0, nu > 0), else NumericError.
         params: parameter names to differentiate, default all five.
         cutoff: grid cutoff per arm; defaults to ``default_cutoff(theta)``.
-        tol: series truncation tolerance passed to the model.
-        p_floor: bins below this probability are excluded.
-        tail_floor: minimum tail mass for the aggregated event to count.
     """
-    if cutoff is None:
-        cutoff = default_cutoff(theta)
     params = tuple(params)
-    pnd = model_pnd(theta, cutoff, tol, wrt=params)
-    mask = pnd.probs >= p_floor
+    pnd = model_pnd(theta, cutoff, wrt=params)
+    mask = pnd.probs >= P_FLOOR
     scores = np.array([pnd.scores[name][mask] for name in params])
     h = _gram(scores, 1.0 / pnd.probs[mask])
-    if pnd.tail_mass >= tail_floor:
+    if pnd.tail_mass >= TAIL_FLOOR:
         tail = np.array([pnd.tail_scores[name] for name in params])
         h += np.outer(tail, tail) / pnd.tail_mass
     return FisherMatrix(labels=params, entries=h)
@@ -117,23 +116,21 @@ def observed_fim(
     hist,
     theta_hat: ParamSet,
     params: tuple[str, ...] = PARAM_NAMES,
-    tol: float = 1e-14,
-    p_floor: float = 1e-300,
 ) -> FisherMatrix:
     """Data-weighted information F_jk = sum mu_mn (d_j ln p)(d_k ln p) at theta_hat.
 
     The scores come exactly from one ``model_pnd`` evaluation.  ``hist`` may
     be a Histogram or a plain count grid.  Its grid shape sets the model
-    cutoff.  Occupied bins the model cannot explain (p below ``p_floor``)
+    cutoff.  Occupied bins the model cannot explain (p below ``P_FLOOR``)
     raise, naming the bin.
     """
     counts = np.asarray(getattr(hist, "counts", hist), dtype=float)
     if counts.ndim != 2 or counts.sum() <= 0:
         raise ValueError("histogram must be a nonempty two-dimensional count grid")
     params = tuple(params)
-    pnd = model_pnd(theta_hat, (counts.shape[0] - 1, counts.shape[1] - 1), tol, wrt=params)
+    pnd = model_pnd(theta_hat, (counts.shape[0] - 1, counts.shape[1] - 1), wrt=params)
     occupied = counts > 0
-    starved = occupied & (pnd.probs < p_floor)
+    starved = occupied & (pnd.probs < P_FLOOR)
     if starved.any():
         bad = tuple(int(v) for v in np.argwhere(starved)[0])
         raise NumericError(
@@ -167,7 +164,7 @@ def reparametrize_fim(
 
 def qfim_coherent(alpha_sq: float, beta_sq: float) -> FisherMatrix:
     """Quantum Fisher matrix of a two-arm coherent probe: diag(4|alpha|^2, 4|beta|^2)."""
-    if alpha_sq < 0.0 or beta_sq < 0.0:
+    if not (alpha_sq >= 0.0 and beta_sq >= 0.0):
         raise ValueError("mean photon numbers must be >= 0")
     return FisherMatrix(
         labels=ETA_LABELS, entries=np.diag([4.0 * alpha_sq, 4.0 * beta_sq])
@@ -176,7 +173,7 @@ def qfim_coherent(alpha_sq: float, beta_sq: float) -> FisherMatrix:
 
 def qfim_fock(m: float, n: float, eta1: float, eta2: float) -> FisherMatrix:
     """Quantum Fisher matrix of a two-arm Fock probe: diag(4m/(1-eta1^2), 4n/(1-eta2^2))."""
-    if m < 0.0 or n < 0.0:
+    if not (m >= 0.0 and n >= 0.0):
         raise ValueError("photon numbers must be >= 0")
     if not (0.0 <= eta1 < 1.0) or not (0.0 <= eta2 < 1.0):
         raise ValueError(
@@ -270,18 +267,17 @@ class CrossoverCurve:
         return float(self.points[best].mean())
 
 
-def _pnrd_sensitivity(eta1: float, eta2: float, r: float, tol: float) -> float:
-    theta = ParamSet(eta1=eta1, eta2=eta2, r=r)
-    fim = classical_fim(theta, params=ETA_LABELS, cutoff=default_cutoff(theta), tol=tol)
+def _pnrd_sensitivity(eta1: float, eta2: float, r: float) -> float:
+    fim = classical_fim(ParamSet(eta1=eta1, eta2=eta2, r=r), params=ETA_LABELS)
     try:
         return sensitivity(fim)
     except NumericError:
         return -np.inf
 
 
-def _sensitivity_for_source(source: str, eta1: float, eta2: float, r: float, tol: float) -> float:
+def _sensitivity_for_source(source: str, eta1: float, eta2: float, r: float) -> float:
     if source == "pnrd-fim":
-        return _pnrd_sensitivity(eta1, eta2, r, tol)
+        return _pnrd_sensitivity(eta1, eta2, r)
     if source == "three-param-qfim":
         bounds = qfim_inverse_analytic(eta1, eta2, r).entries
         return 1.0 / float(bounds[0, 0] + bounds[1, 1])
@@ -304,17 +300,16 @@ def crossover_curve(
     r: float,
     source: str = "pnrd-fim",
     n_rays: int = 17,
-    eta_floor: float = 0.02,
-    eta_ceiling: float = 1.0 - 1e-6,
-    tol: float = 1e-14,
-    n_bisect: int = 40,
 ) -> CrossoverCurve:
     """Locate the equal-sensitivity frontier against an equal-energy coherent probe.
 
     The comparator puts E = 2 sinh(r)^2 photons split evenly across the arms,
-    giving sensitivity E.  Rays from the origin through the (eta1, eta2)
-    square are bisected on the sign of the sensitivity difference; rays with
-    no sign change produce no point.
+    giving sensitivity E.  Along each ray from the origin through the (eta1,
+    eta2) square, amplitudes ETA_FLOOR to ETA_CEILING, Brent's method finds
+    the root of the sensitivity difference; rays with no sign change produce
+    no point.  Where the information is singular or indefinite the
+    difference is -inf; Brent's method keeps the bracket by sign and still
+    converges.
 
     Args:
         r: squeezing parameter, > 0.
@@ -322,10 +317,6 @@ def crossover_curve(
             statistics over eta1, eta2 at known r), three-param-qfim (quantum
             bound with r as nuisance), lowloss-qfim (first-order expansion).
         n_rays: number of rays; 1 keeps only the diagonal.
-        eta_floor: smallest amplitude probed along a ray.
-        eta_ceiling: largest amplitude probed.
-        tol: series tolerance for pnrd-fim evaluations.
-        n_bisect: bisection iterations per ray.
     """
     if r <= 0.0:
         raise ValueError(f"squeezing parameter must be > 0, got r={r}")
@@ -336,32 +327,23 @@ def crossover_curve(
     if n_rays == 1:
         angles = np.array([np.pi / 4.0])
     else:
-        spread = np.arctan2(eta_floor, eta_ceiling)
+        spread = np.arctan2(ETA_FLOOR, ETA_CEILING)
         angles = np.linspace(spread, np.pi / 2.0 - spread, n_rays)
 
     points = []
     for angle in angles:
         direction = np.array([np.cos(angle), np.sin(angle)])
-        s_max = eta_ceiling / direction.max()
-        s_min = eta_floor / direction.min()
+        s_max = ETA_CEILING / direction.max()
+        s_min = ETA_FLOOR / direction.min()
         if s_min >= s_max:
             continue
 
         def gap(s: float) -> float:
             e1, e2 = s * direction
-            return _sensitivity_for_source(source, e1, e2, r, tol) - energy
+            return _sensitivity_for_source(source, e1, e2, r) - energy
 
-        lo, hi = s_min, s_max
-        g_lo, g_hi = gap(lo), gap(hi)
-        if not (g_lo < 0.0 < g_hi):
-            continue
-        for _ in range(n_bisect):
-            mid = 0.5 * (lo + hi)
-            if gap(mid) > 0.0:
-                hi = mid
-            else:
-                lo = mid
-        points.append(0.5 * (lo + hi) * direction)
+        if gap(s_min) < 0.0 < gap(s_max):
+            points.append(brentq(gap, s_min, s_max) * direction)
 
     points_arr = np.array(points) if points else np.empty((0, 2))
     return CrossoverCurve(r=r, source=source, points=points_arr)

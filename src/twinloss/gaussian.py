@@ -60,8 +60,10 @@ def tmsv_covariance(r: float, phi: float = 0.0) -> CovarianceMatrix:
     Diagonal blocks are cosh(2r)/2 times the identity; off-diagonal blocks are
     -sinh(2r)/2 times the phase matrix [[cos phi, sin phi], [sin phi, -cos phi]].
     """
-    if r < 0.0:
-        raise ValueError(f"squeezing parameter must be >= 0, got r={r}")
+    if not 0.0 <= r < np.inf:
+        raise ValueError(f"squeezing parameter must be finite and >= 0, got r={r}")
+    if not np.isfinite(phi):
+        raise ValueError(f"squeezing phase must be finite, got phi={phi}")
     diag = 0.5 * np.cosh(2.0 * r) * np.eye(2)
     off = -0.5 * np.sinh(2.0 * r) * _phase_matrix(phi)
     return CovarianceMatrix(entries=np.block([[diag, off], [off.T, diag]]))

@@ -22,6 +22,22 @@ from .pnd import (
     PARAM_NAMES, JointPND, NumericError, ParamSet, _normalize_cutoff, check_param_names, model_pnd
 )
 
+# starts after the first add Gaussian noise of this width to the unconstrained start
+JITTER = 0.05
+# scoring stops once a step is below XATOL in every unconstrained coordinate,
+# or after MAXITER steps
+XATOL = 1e-9
+MAXITER = 5000
+
+
+def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
+    """Independent reproducible generator for (seed, stream)."""
+    if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
+        raise ValueError(f"seed and stream must lie in [0, 2**64), got {seed}, {stream}")
+    return np.random.Generator(
+        np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+    )
+
 
 @dataclasses.dataclass(frozen=True)
 class Histogram:
@@ -152,7 +168,7 @@ def _conditioned_kl(hist: Histogram, pnd: JointPND, slopes=1.0):
     return value, -(u @ q_occ), _gram(u, p_occ / mass)
 
 
-def kl_objective(hist: Histogram, theta: ParamSet, tol: float = 1e-14) -> float:
+def kl_objective(hist: Histogram, theta: ParamSet) -> float:
     """Per-shot fit objective: KL from data frequencies to the model, in nats.
 
     The model grid matches the data grid, and the model probabilities are
@@ -160,7 +176,7 @@ def kl_objective(hist: Histogram, theta: ParamSet, tol: float = 1e-14) -> float:
     the model reproduces the empirical frequencies.  Occupied bins the model
     assigns no probability give +inf.  Overflow shots are ignored.
     """
-    return _conditioned_kl(hist, model_pnd(theta, hist.cutoff, tol))[0]
+    return _conditioned_kl(hist, model_pnd(theta, hist.cutoff))[0]
 
 
 def moment_init(hist: Histogram) -> ParamSet:
@@ -230,26 +246,26 @@ def _from_unconstrained(
     return base.replace(**updates), np.array(slopes)
 
 
-def minimize(evaluate, x0: np.ndarray, xatol: float = 1e-9, maxiter: int = 5000) -> OptimizeResult:
+def minimize(evaluate, x0: np.ndarray) -> OptimizeResult:
     """Fisher scoring from x0; ``evaluate(x)`` returns (objective, gradient, information, model).
 
     Each iteration proposes the step -F^-1 g (least squares, so a singular F
     gives the minimum-norm step and F = g = 0 gives none) and halves it until
     the objective does not rise.  Stops with success once the step is below
-    ``xatol`` in every coordinate.  The result also holds ``model``, that of
-    the last accepted evaluation.
+    XATOL in every coordinate, without it after MAXITER steps.  The result
+    also holds ``model``, that of the last accepted evaluation.
     """
     x = np.asarray(x0, dtype=float)
     value, grad, info, model = evaluate(x)
     nit, nfev, message = 0, 1, "maximum number of iterations reached"
     if not np.isfinite(value):
         message = "objective is not finite at the start"
-    while np.isfinite(value) and nit < maxiter:
+    while np.isfinite(value) and nit < MAXITER:
         step = np.linalg.lstsq(info, -grad, rcond=None)[0]
         if not np.isfinite(step).all():
             message = "scoring step is not finite"
             break
-        while np.abs(step).max() >= xatol:
+        while np.abs(step).max() >= XATOL:
             trial = evaluate(x + step)
             nfev += 1
             if trial[0] <= value:
@@ -257,7 +273,7 @@ def minimize(evaluate, x0: np.ndarray, xatol: float = 1e-9, maxiter: int = 5000)
                 value, grad, info, model = trial
                 break
             step = step / 2.0
-        if np.abs(step).max() < xatol:
+        if np.abs(step).max() < XATOL:
             message = "step below xatol"
             break
     return OptimizeResult(
@@ -270,7 +286,6 @@ def covariance_estimate(
     hist: Histogram,
     theta_hat: ParamSet,
     params: tuple[str, ...] = PARAM_NAMES,
-    tol: float = 1e-14,
 ):
     """Observed-information covariance at the fit point.
 
@@ -279,7 +294,7 @@ def covariance_estimate(
     scores of one model evaluation.  Raises NumericError when the
     information matrix is singular or a parameter sits on its boundary.
     """
-    fim = observed_fim(hist, theta_hat, params=params, tol=tol)
+    fim = observed_fim(hist, theta_hat, params=params)
     covariance = _safe_inverse(fim.entries)
     return covariance, float(np.linalg.cond(fim.entries))
 
@@ -291,11 +306,7 @@ def fit(
     free: tuple[str, ...] = PARAM_NAMES,
     n_starts: int = 4,
     seed: int = 0,
-    jitter: float = 0.05,
     parametrization: str = "eta",
-    tol: float = 1e-14,
-    xatol: float = 1e-9,
-    maxiter: int = 5000,
 ) -> MleResult:
     """Fit the count model to a histogram by multi-start Fisher scoring.
 
@@ -306,19 +317,15 @@ def fit(
     the conditioned model, chained through the transforms, and ``minimize``
     steps by -F^-1 g, halving until the objective does not rise.  Start 0
     uses ``init`` (or ``moment_init``) exactly; further starts jitter the
-    unconstrained vector with Gaussian noise seeded by ``seed``.
+    unconstrained vector by JITTER-wide Gaussian noise from ``rng_stream(seed)``.
 
     Args:
         hist: data histogram; its grid sets the model cutoff.
         init: full starting parameter set, also the source of fixed values.
         free: parameter names to optimize, in any order.
         n_starts: optimizer restarts, >= 1.
-        seed: jitter seed (counting-based generator, reproducible).
-        jitter: standard deviation of the start jitter.
+        seed: jitter seed, >= 0 (counter-based generator, reproducible).
         parametrization: "eta" fits the amplitudes, "q" their squares.
-        tol: model series tolerance.
-        xatol: stop once a scoring step is below this in every unconstrained coordinate.
-        maxiter: most scoring steps per start.
     """
     free_set = set(check_param_names(free))
     free_t = tuple(name for name in PARAM_NAMES if name in free_set)
@@ -331,12 +338,12 @@ def fit(
 
     base = init if init is not None else moment_init(hist)
     x0 = _to_unconstrained(base, free_t, parametrization)
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    rng = rng_stream(seed, 0)
 
     def evaluate(x: np.ndarray):
         theta, slopes = _from_unconstrained(x, base, free_t, parametrization)
         try:
-            pnd = model_pnd(theta, hist.cutoff, tol, wrt=free_t)
+            pnd = model_pnd(theta, hist.cutoff, wrt=free_t)
         except NumericError:
             # a trial step rounded a parameter onto its domain boundary
             return np.inf, None, None, None
@@ -344,15 +351,13 @@ def fit(
 
     runs = []
     for start in range(n_starts):
-        x_start = x0 if start == 0 else x0 + rng.normal(0.0, jitter, size=x0.size)
-        runs.append(minimize(evaluate, x_start, xatol=xatol, maxiter=maxiter))
+        x_start = x0 if start == 0 else x0 + rng.normal(0.0, JITTER, size=x0.size)
+        runs.append(minimize(evaluate, x_start))
     best = min(runs, key=lambda run: run.fun)
 
     theta_hat = _from_unconstrained(best.x, base, free_t, parametrization)[0]
     try:
-        covariance, condition = covariance_estimate(
-            hist, theta_hat, params=free_t, tol=tol
-        )
+        covariance, condition = covariance_estimate(hist, theta_hat, params=free_t)
     except (NumericError, np.linalg.LinAlgError) as exc:
         warnings.warn(f"covariance unavailable: {exc}", UserWarning, stacklevel=2)
         covariance, condition = None, None

@@ -20,6 +20,11 @@ from scipy.special import gammaln
 PARAM_NAMES = ("eta1", "eta2", "r", "nu1", "nu2")
 LOSS_NAMES = ("eta1", "eta2", "r")
 
+# model probabilities below this count as zero: no information, no relative error
+P_FLOOR = 1e-300
+# combined thermal plus Poisson mass that default_cutoff leaves beyond each arm
+CUTOFF_TAIL = 1e-12
+
 # log n! lookup, grown on demand
 _LOG_FACT = gammaln(np.arange(512, dtype=float) + 1.0)
 
@@ -316,8 +321,8 @@ def apply_dark_counts(pnd: JointPND, nu1: float, nu2: float, wrt=()) -> JointPND
     return JointPND(probs=probs, tail_mass=tail, terms=pnd.terms, scores=scores)
 
 
-def default_cutoff(theta: ParamSet, tail_bound: float = 1e-12) -> tuple[int, int]:
-    """Per-arm cutoffs keeping the combined thermal plus Poisson tail below ``tail_bound``.
+def default_cutoff(theta: ParamSet) -> tuple[int, int]:
+    """Per-arm cutoffs keeping the combined thermal plus Poisson tail below ``CUTOFF_TAIL``.
 
     Each arm's pre-dark-count marginal is thermal with mean eta^2 sinh(r)^2,
     so its tail decays geometrically; the Poisson part is bounded through its
@@ -328,21 +333,22 @@ def default_cutoff(theta: ParamSet, tail_bound: float = 1e-12) -> tuple[int, int
         nbar = eta**2 * np.sinh(theta.r) ** 2
         c_th = 1
         if nbar > 0.0:
-            c_th = int(np.ceil(np.log(tail_bound / 4.0) / np.log(nbar / (1.0 + nbar)))) + 1
+            c_th = int(np.ceil(np.log(CUTOFF_TAIL / 4.0) / np.log(nbar / (1.0 + nbar)))) + 1
         c_poi = 0
         if nu > 0.0:
-            c_poi = int(stats.poisson.isf(tail_bound / 4.0, nu))
+            c_poi = int(stats.poisson.isf(CUTOFF_TAIL / 4.0, nu))
         cutoffs.append(max(c_th + c_poi + 2, 2))
     return (cutoffs[0], cutoffs[1])
 
 
-def model_pnd(theta: ParamSet, cutoff=None, tol: float = 1e-14, wrt=()) -> JointPND:
+def model_pnd(theta: ParamSet, cutoff=None, wrt=()) -> JointPND:
     """Full count model: lossy twin beam followed by spurious-count convolution.
+
+    The loss series is certified to ``lossy_tmsv_pnd``'s default tolerance.
 
     Args:
         theta: model parameters.
         cutoff: grid cutoff per arm; defaults to ``default_cutoff(theta)``.
-        tol: relative series truncation tolerance per bin.
         wrt: parameter names from PARAM_NAMES whose scores d probs / d theta
             to return in ``JointPND.scores``; each must be interior.
     """
@@ -350,7 +356,7 @@ def model_pnd(theta: ParamSet, cutoff=None, tol: float = 1e-14, wrt=()) -> Joint
     if cutoff is None:
         cutoff = default_cutoff(theta)
     loss = tuple(name for name in wrt if name in LOSS_NAMES)
-    pnd = lossy_tmsv_pnd(theta.eta1, theta.eta2, theta.r, cutoff, tol, wrt=loss)
+    pnd = lossy_tmsv_pnd(theta.eta1, theta.eta2, theta.r, cutoff, wrt=loss)
     return apply_dark_counts(pnd, theta.nu1, theta.nu2, wrt=wrt)
 
 

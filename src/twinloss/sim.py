@@ -12,23 +12,14 @@ import warnings
 
 import numpy as np
 
-from .mle import Histogram, _rms_residual
-from .pnd import ParamSet, default_cutoff, model_pnd
+from .mle import Histogram, _rms_residual, rng_stream
+from .pnd import P_FLOOR, ParamSet, default_cutoff, model_pnd
 
 BOOTSTRAP_MODES = (
     "nonparam-with-replacement",
     "nonparam-without-replacement",
     "parametric",
 )
-
-
-def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
-    """Independent reproducible generator for (seed, stream)."""
-    if seed < 0 or stream < 0:
-        raise ValueError("seed and stream must be >= 0")
-    return np.random.Generator(
-        np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
-    )
 
 
 def _draw_counts(flat_probs: np.ndarray, n_shots: int, rng: np.random.Generator):
@@ -47,7 +38,6 @@ def sample_shots(
     cutoff=None,
     seed: int = 0,
     stream: int = 0,
-    tol: float = 1e-14,
 ) -> Histogram:
     """Draw i.i.d. joint click counts from the model.
 
@@ -56,9 +46,7 @@ def sample_shots(
     """
     if n_shots < 0:
         raise ValueError("n_shots must be >= 0")
-    if cutoff is None:
-        cutoff = default_cutoff(theta)
-    pnd = model_pnd(theta, cutoff, tol)
+    pnd = model_pnd(theta, cutoff)
     if pnd.tail_mass > 1e-6:
         warnings.warn(
             f"{pnd.tail_mass:.3g} of the probability lies beyond the cutoff "
@@ -111,7 +99,6 @@ def simulate_trials(
     shots_per_trial: int,
     cutoff=None,
     seed: int = 0,
-    tol: float = 1e-14,
 ) -> TrialSet:
     """Independent repeated experiments, one stream per trial."""
     if n_trials < 1:
@@ -119,7 +106,7 @@ def simulate_trials(
     if cutoff is None:
         cutoff = default_cutoff(theta)
     histograms = tuple(
-        sample_shots(theta, shots_per_trial, cutoff, seed=seed, stream=i, tol=tol)
+        sample_shots(theta, shots_per_trial, cutoff, seed=seed, stream=i)
         for i in range(n_trials)
     )
     return TrialSet(
@@ -169,7 +156,6 @@ def bootstrap(
     resample_size: int | None = None,
     seed: int = 0,
     theta: ParamSet | None = None,
-    tol: float = 1e-14,
 ) -> list[Histogram]:
     """Resampled histograms from observed data or from a fitted model.
 
@@ -199,7 +185,7 @@ def bootstrap(
     if mode == "parametric":
         if theta is None:
             raise ValueError("parametric bootstrap needs theta")
-        model_flat = model_pnd(theta, hist.cutoff, tol).probs.ravel()
+        model_flat = model_pnd(theta, hist.cutoff).probs.ravel()
 
     shape = hist.counts.shape
     flat_counts = hist.counts.ravel()
@@ -223,25 +209,20 @@ def bootstrap(
     return replicas
 
 
-def relative_error_map(
-    hist: Histogram,
-    theta: ParamSet,
-    tol: float = 1e-14,
-    p_floor: float = 1e-300,
-) -> np.ndarray:
-    """Per-bin (empirical - model) / model on the data grid; NaN below ``p_floor``."""
+def relative_error_map(hist: Histogram, theta: ParamSet) -> np.ndarray:
+    """Per-bin (empirical - model) / model on the data grid; NaN below ``P_FLOOR``."""
     if hist.total <= 0:
         raise ValueError("histogram holds no grid counts")
-    probs = model_pnd(theta, hist.cutoff, tol).probs
+    probs = model_pnd(theta, hist.cutoff).probs
     q = hist.counts / hist.total
     out = np.full(probs.shape, np.nan)
-    mask = probs >= p_floor
+    mask = probs >= P_FLOOR
     out[mask] = (q[mask] - probs[mask]) / probs[mask]
     return out
 
 
-def rms_error(hist: Histogram, theta: ParamSet, tol: float = 1e-14) -> float:
+def rms_error(hist: Histogram, theta: ParamSet) -> float:
     """Root-mean-square of (empirical - model) over the data grid."""
     if hist.total <= 0:
         raise ValueError("histogram holds no grid counts")
-    return _rms_residual(hist, model_pnd(theta, hist.cutoff, tol).probs)
+    return _rms_residual(hist, model_pnd(theta, hist.cutoff).probs)

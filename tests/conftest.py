@@ -5,7 +5,9 @@ from scipy.signal import convolve2d
 from scipy.special import gammaln
 from scipy.stats import binom, poisson
 
-from twinloss import PARAM_NAMES, NumericError, ParamSet, default_cutoff, model_pnd
+from twinloss import (
+    PARAM_NAMES, NumericError, ParamSet, apply_dark_counts, default_cutoff, lossy_tmsv_pnd
+)
 
 settings.register_profile(
     "suite",
@@ -159,16 +161,21 @@ def fd_scores(theta, params=PARAM_NAMES, cutoff=None, step=1e-5, tol=1e-14):
     """Independent oracle: central-difference derivatives of the model grid.
 
     Returns (dprobs, dtails), one entry per parameter, from two value-only
-    ``model_pnd`` evaluations per parameter.
+    evaluations of the count model per parameter, each certified to ``tol``.
     """
     if cutoff is None:
         cutoff = default_cutoff(theta)
+
+    def model(point):
+        loss = lossy_tmsv_pnd(point.eta1, point.eta2, point.r, cutoff, tol)
+        return apply_dark_counts(loss, point.nu1, point.nu2)
+
     dprobs, dtails = [], []
     for name in params:
         h = _difference_step(theta, name, step)
         value = getattr(theta, name)
-        hi = model_pnd(theta.replace(**{name: value + h}), cutoff, tol)
-        lo = model_pnd(theta.replace(**{name: value - h}), cutoff, tol)
+        hi = model(theta.replace(**{name: value + h}))
+        lo = model(theta.replace(**{name: value - h}))
         dprobs.append((hi.probs - lo.probs) / (2.0 * h))
         dtails.append((hi.tail_mass - lo.tail_mass) / (2.0 * h))
     return dprobs, dtails

@@ -296,6 +296,16 @@ def test_malformed_init_json_exits_2(tmp_path, capsys):
     assert "init.json" in err and "eta1" in err
 
 
+def test_fit_seed_out_of_range_exits_2(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "data.csv"
+    write_histogram_csv(data, Histogram(counts=np.array([[50, 3], [4, 9]])))
+    assert main(["fit", str(data), "--starts", "1", "--seed", "-1"]) == 2
+    assert main(["fit", str(data), "--starts", "1", "--seed", str(2**64)]) == 2
+    monkeypatch.setenv("TWINLOSS_SEED", "-3")
+    assert main(["fit", str(data), "--starts", "1"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_bad_cutoff_exits_2(tmp_path):
     code = main(
         [

@@ -20,6 +20,7 @@ from twinloss import (
     qfim_tmsv,
     reparametrize_fim,
     sensitivity,
+    tmsv_covariance,
     total_variance,
 )
 from twinloss import fisher
@@ -278,6 +279,25 @@ def test_fisher_matrix_validates_input():
         FisherMatrix(labels=("a",), entries=np.eye(2))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FisherMatrix(labels=("a",), entries=np.array([[np.nan]])),
+        lambda: FisherMatrix(labels=("a",), entries=np.array([[np.inf]])),
+        lambda: qfim_coherent(np.nan, 1.0),
+        lambda: qfim_coherent(np.inf, 1.0),
+        lambda: qfim_fock(np.nan, 1.0, 0.5, 0.5),
+        lambda: qfim_fock(1.0, 1.0, 0.5, np.nan),
+        lambda: tmsv_covariance(np.nan),
+        lambda: tmsv_covariance(np.inf),
+        lambda: tmsv_covariance(0.5, np.nan),
+    ],
+)
+def test_non_finite_inputs_rejected(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_crossover_diagonal_reference_points():
     quarter = crossover_curve(0.25, n_rays=1)
     assert quarter.diagonal_point() == pytest.approx(0.45441185, abs=5e-4)
@@ -294,6 +314,19 @@ def test_crossover_points_sit_on_the_frontier():
             ParamSet(eta1=eta1, eta2=eta2, r=0.25), params=("eta1", "eta2")
         )
         assert sensitivity(fim) == pytest.approx(energy, rel=1e-5)
+
+
+@pytest.mark.parametrize(
+    "r, source", [(0.25, "pnrd-fim"), (0.5, "three-param-qfim"), (0.05, "lowloss-qfim")]
+)
+def test_crossover_roots_are_precise(r, source):
+    energy = 2.0 * np.sinh(r) ** 2
+    curve = crossover_curve(r, source=source, n_rays=9)
+    assert curve.points.shape[0] >= 1
+    for point in curve.points:
+        below = fisher._sensitivity_for_source(source, *((1.0 - 1e-9) * point), r)
+        above = fisher._sensitivity_for_source(source, *((1.0 + 1e-9) * point), r)
+        assert below < energy < above
 
 
 def test_crossover_curve_is_swap_symmetric():

@@ -139,6 +139,12 @@ def test_fit_validation(theta_a):
         fit(hist, theta_a, parametrization="log")
 
 
+def test_fit_rejects_negative_seed(theta_a):
+    hist = exact_model_histogram(theta_a, 1e4, cutoff=6)
+    with pytest.raises(ValueError, match="seed"):
+        fit(hist, theta_a, seed=-1)
+
+
 def test_covariance_matches_information_inverse(theta_a):
     mu = 1e6
     counts = mu * model_pnd(theta_a).probs
