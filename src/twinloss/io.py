@@ -18,6 +18,8 @@ import numpy as np
 from .mle import Histogram, MleResult
 from .pnd import ParamSet
 
+_INT64_MAX = np.iinfo(np.int64).max
+
 
 def _atomic_write_text(path, text: str) -> None:
     path = os.fspath(path)
@@ -73,6 +75,15 @@ def write_histogram_csv(path, hist: Histogram) -> None:
     write_csv(path, ("m", "n", "count"), rows)
 
 
+def _check_fields(path, lineno: int, values: tuple) -> tuple:
+    """Reject a parsed line holding a value outside int64 or below zero."""
+    if max(values) > _INT64_MAX:
+        raise ValueError(f"{path}:{lineno}: value out of range")
+    if min(values) < 0:
+        raise ValueError(f"{path}:{lineno}: negative value")
+    return values
+
+
 def read_histogram_csv(path) -> Histogram:
     """Read a ``m,n,count`` grid holding each (m, n) up to the largest indices once."""
     with open(path, encoding="utf-8") as handle:
@@ -88,8 +99,7 @@ def read_histogram_csv(path) -> Histogram:
             m, n, count = (int(part) for part in parts)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: non-integer field") from None
-        if m < 0 or n < 0 or count < 0:
-            raise ValueError(f"{path}:{lineno}: negative value")
+        _check_fields(path, lineno, (m, n, count))
         if (m, n) in seen:
             raise ValueError(f"{path}:{lineno}: duplicate row {m},{n}")
         seen[m, n] = lineno
@@ -107,30 +117,56 @@ def read_histogram_csv(path) -> Histogram:
     return Histogram(counts=counts)
 
 
+def _shot_pairs(path, lines) -> list:
+    """The line-by-line shot-list reader: ``(m, n)`` pairs, naming ``path:line`` on rejection."""
+    pairs = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
+        try:
+            pair = (int(parts[0]), int(parts[1]))
+        except ValueError:
+            if lineno == 1:
+                continue
+            raise ValueError(f"{path}:{lineno}: non-integer field") from None
+        pairs.append(_check_fields(path, lineno, pair))
+    return pairs
+
+
 def read_shot_list(path) -> Histogram:
     """Bin a raw shot record with one ``m,n`` pair per line.
 
     A leading non-numeric header line is tolerated; the grid spans the
-    largest observed pair.
+    largest observed pair.  Records numpy's C parser refuses are re-read by
+    ``_shot_pairs``, which accepts odd but valid lines and names ``path:line``.
     """
-    pairs = []
     with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
-            try:
-                pairs.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                if lineno == 1:
-                    continue
-                raise ValueError(f"{path}:{lineno}: non-integer field") from None
-    if not pairs:
+        first = handle.readline()
+    # line 1 is a header when _shot_pairs skips it; if it rejects line 1,
+    # so is the record
+    header = int(first.strip() != "" and not _shot_pairs(path, [first]))
+    table = None
+    try:
+        # promoted warnings catch the empty records and float-to-int
+        # parsing that some numpy versions only warn about
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                path, delimiter=",", dtype=np.int64, comments=None, ndmin=2,
+                encoding="utf-8", skiprows=header,
+            )
+    except (ValueError, Warning):
+        pass
+    if table is None or table.shape[1] != 2 or not table.size or table.min() < 0:
+        with open(path, encoding="utf-8") as handle:
+            table = np.array(_shot_pairs(path, handle), dtype=np.int64)
+    if not table.size:
         raise ValueError(f"{path}: no shots")
-    return Histogram.from_shots(np.array(pairs, dtype=np.int64))
+    return Histogram.from_shots(table)
 
 
 def write_params_json(path, theta: ParamSet) -> None:

@@ -88,18 +88,17 @@ class Histogram:
         pairs = np.asarray(shots)
         if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] == 0:
             raise ValueError("shots must be a nonempty (n, 2) array of click pairs")
-        if not np.all(pairs == np.floor(pairs)) or pairs.min() < 0:
+        integral = pairs.dtype.kind in "iu" or np.all(pairs == np.floor(pairs))
+        if not integral or pairs.min() < 0:
             raise ValueError("click counts must be integers >= 0")
-        pairs = pairs.astype(np.int64)
+        pairs = pairs.astype(np.int64, copy=False)
         if cutoff is None:
             ca, cb = int(pairs[:, 0].max()), int(pairs[:, 1].max())
         else:
             ca, cb = _normalize_cutoff(cutoff)
         inside = (pairs[:, 0] <= ca) & (pairs[:, 1] <= cb)
-        kept = pairs[inside]
-        flat = np.bincount(
-            kept[:, 0] * (cb + 1) + kept[:, 1], minlength=(ca + 1) * (cb + 1)
-        )
+        cells = pairs[:, 0] * (cb + 1) + pairs[:, 1]
+        flat = np.bincount(cells[inside], minlength=(ca + 1) * (cb + 1))
         return cls(
             counts=flat.reshape(ca + 1, cb + 1),
             overflow=int((~inside).sum()),

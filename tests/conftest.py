@@ -179,3 +179,29 @@ def fd_scores(theta, params=PARAM_NAMES, cutoff=None, step=1e-5, tol=1e-14):
         dprobs.append((hi.probs - lo.probs) / (2.0 * h))
         dtails.append((hi.tail_mass - lo.tail_mass) / (2.0 * h))
     return dprobs, dtails
+
+
+def parse_shot_list(text):
+    """Independent oracle for shot lists, one ``m,n`` pair per line.
+
+    Returns ``(pairs, None)`` for an accepted record (``pairs`` empty when it
+    holds no shots) and ``(None, lineno)`` for the first rejected line.  Blank
+    lines are skipped and a non-integer pair on line 1 is a header.
+    """
+    pairs = []
+    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
+        fields = line.strip().split(",")
+        if fields == [""]:
+            continue
+        if len(fields) != 2:
+            return None, lineno
+        try:
+            m, n = int(fields[0]), int(fields[1])
+        except ValueError:
+            if lineno == 1:
+                continue
+            return None, lineno
+        if not (0 <= m < 2**63 and 0 <= n < 2**63):
+            return None, lineno
+        pairs.append((m, n))
+    return pairs, None

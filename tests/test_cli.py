@@ -256,6 +256,17 @@ def test_ingest_reads_shot_lists(tmp_path, capsys):
     assert doc["rms"] > 0.0
 
 
+def test_out_of_range_inputs_exit_2(tmp_path, capsys):
+    shots = tmp_path / "big.csv"
+    shots.write_text("m,n\n0,1\n99999999999999999999,1\n")
+    hist = tmp_path / "bighist.csv"
+    hist.write_text("m,n,count\n0,0,99999999999999999999\n")
+    assert main(["fit", "--ingest", str(shots), "--starts", "1"]) == 2
+    assert "big.csv:3: value out of range" in capsys.readouterr().err
+    assert main(["fit", str(hist), "--starts", "1"]) == 2
+    assert "bighist.csv:2: value out of range" in capsys.readouterr().err
+
+
 def test_env_var_supplies_default_seed(tmp_path, monkeypatch):
     args = [
         "simulate",

@@ -1,9 +1,13 @@
 """Round trips and validation for the on-disk CSV and JSON formats."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from conftest import parse_shot_list
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinloss.io import (
     read_histogram_csv,
@@ -106,12 +110,84 @@ def test_read_shot_list_matches_from_shots(tmp_path):
     assert np.array_equal(hist.counts, Histogram.from_shots(shots).counts)
 
 
-@pytest.mark.parametrize("text", ["", "0,1\nfoo,bar\n", "0,1,2\n"])
+SHOT_LIST_MESSAGES = {
+    "m,n\n0,1\n2,-1\n": r"bad\.csv:3: negative value",
+    "m,n\n0,1\n99999999999999999999,1\n": r"bad\.csv:3: value out of range",
+}
+
+
+@pytest.mark.parametrize("text", ["", "0,1\nfoo,bar\n", "0,1,2\n", *SHOT_LIST_MESSAGES])
 def test_read_shot_list_rejects_malformed(tmp_path, text):
     path = tmp_path / "bad.csv"
     path.write_text(text)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=SHOT_LIST_MESSAGES.get(text)):
         read_shot_list(path)
+
+
+def test_read_histogram_csv_rejects_value_beyond_int64(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("m,n,count\n0,0,99999999999999999999\n")
+    with pytest.raises(ValueError, match=r"big\.csv:2: value out of range"):
+        read_histogram_csv(path)
+
+
+def test_read_shot_list_names_file_line_in_large_record(tmp_path):
+    # the C parser rejects the record; the error must still count file lines,
+    # blank ones included, not parsed rows
+    lines = ["m,n"] + [
+        "" if lineno % 1000 == 0 else f"{lineno % 7},{lineno % 5}"
+        for lineno in range(2, 100_001)
+    ]
+    lines[70_002] = "x,1"
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"big\.csv:70003: non-integer field"):
+        read_shot_list(path)
+
+
+_PAD = st.sampled_from(["", " ", "\t"])
+_NUMBER = st.tuples(_PAD, st.sampled_from(["", "+"]), st.integers(0, 12).map(str), _PAD)
+_TOKEN = st.one_of(
+    _NUMBER.map("".join),
+    # 20 digits, small or beyond int64: large in-range values would size a huge grid
+    st.one_of(st.integers(0, 12), st.integers(2**63, 10**20 - 1)).map("{:020d}".format),
+    st.sampled_from(["-1", "-0", "x", "1.0", "1_0", "#", ""]),
+)
+# clean pairs are listed twice so that about half the records are accepted
+_LINES = st.one_of(
+    st.lists(_NUMBER.map("".join), min_size=2, max_size=2).map(",".join),
+    st.lists(_NUMBER.map("".join), min_size=2, max_size=2).map(",".join),
+    st.lists(_TOKEN, min_size=1, max_size=3).map(",".join),
+    st.sampled_from(["", " ", "\t "]),
+)
+
+
+@pytest.fixture(scope="module")
+def record_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("records") / "record.csv"
+
+
+@settings(max_examples=200)
+@given(
+    header=st.booleans(),
+    lines=st.lists(_LINES, max_size=6),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    final=st.booleans(),
+)
+def test_read_shot_list_matches_line_oracle(record_path, header, lines, newline, final):
+    text = newline.join((["m,n"] if header else []) + lines) + (newline if final else "")
+    record_path.write_bytes(text.encode("utf-8"))
+    pairs, bad_line = parse_shot_list(text)
+    if bad_line is not None:
+        expected = rf"{re.escape(str(record_path))}:{bad_line}:"
+    elif not pairs:
+        expected = rf"{re.escape(str(record_path))}: no shots"
+    else:
+        hist = read_shot_list(record_path)
+        assert np.array_equal(hist.counts, Histogram.from_shots(pairs).counts)
+        return
+    with pytest.raises(ValueError, match=expected):
+        read_shot_list(record_path)
 
 
 def test_params_json_round_trip_is_exact(tmp_path):
