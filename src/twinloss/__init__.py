@@ -15,20 +15,12 @@ from .fisher import (
     observed_fim,
     qfim_coherent,
     qfim_fock,
+    qfim_inverse_analytic,
     qfim_lowloss_tmsv,
     qfim_tmsv,
     reparametrize_fim,
     sensitivity,
     total_variance,
-)
-from .gaussian import (
-    CovarianceMatrix,
-    QfimInverse,
-    apply_loss,
-    beamsplitter_symplectic,
-    qfim_inverse_analytic,
-    symplectic_form,
-    tmsv_covariance,
 )
 from .mle import (
     Histogram,
@@ -46,7 +38,6 @@ from .pnd import (
     apply_dark_counts,
     default_cutoff,
     lossy_tmsv_pnd,
-    lowloss_three_outcome,
     model_pnd,
 )
 from .sim import (
@@ -71,14 +62,6 @@ __all__ = [
     "apply_dark_counts",
     "model_pnd",
     "default_cutoff",
-    "lowloss_three_outcome",
-    "CovarianceMatrix",
-    "QfimInverse",
-    "symplectic_form",
-    "tmsv_covariance",
-    "beamsplitter_symplectic",
-    "apply_loss",
-    "qfim_inverse_analytic",
     "FisherMatrix",
     "NumericError",
     "LowLossValidityWarning",
@@ -87,6 +70,7 @@ __all__ = [
     "reparametrize_fim",
     "qfim_coherent",
     "qfim_fock",
+    "qfim_inverse_analytic",
     "qfim_lowloss_tmsv",
     "qfim_tmsv",
     "total_variance",

@@ -20,9 +20,9 @@ from .fisher import (
     NumericError,
     classical_fim,
     crossover_curve,
+    qfim_inverse_analytic,
     qfim_tmsv,
 )
-from .gaussian import qfim_inverse_analytic
 from .mle import Histogram, fit
 from .pnd import PARAM_NAMES, ParamSet
 from .sim import BOOTSTRAP_MODES, bootstrap, relative_error_map, rms_error, sample_shots
@@ -62,14 +62,7 @@ def _parse_free(raw: str) -> tuple[str, ...]:
 
 
 def _theta_from_args(args) -> ParamSet:
-    return ParamSet(
-        eta1=args.eta1,
-        eta2=args.eta2,
-        r=args.r,
-        nu1=args.nu1,
-        nu2=args.nu2,
-        phi=args.phi,
-    )
+    return ParamSet(**{name: getattr(args, name) for name in PARAM_NAMES})
 
 
 def _add_theta_flags(parser: argparse.ArgumentParser) -> None:
@@ -78,7 +71,6 @@ def _add_theta_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--r", type=float, required=True, help="squeezing parameter")
     parser.add_argument("--nu1", type=float, default=0.0, help="arm-1 dark-count rate")
     parser.add_argument("--nu2", type=float, default=0.0, help="arm-2 dark-count rate")
-    parser.add_argument("--phi", type=float, default=0.0, help="squeezing phase")
 
 
 def _read_histogram(path: str, ingest: bool):
@@ -202,12 +194,11 @@ def cmd_qfim(args) -> int:
     fim = qfim_tmsv(args.eta1, args.eta2, args.r)
     _emit_json(
         {
-            "labels": list(bounds.labels),
+            "labels": list(fim.labels),
             "qfim": fim.entries.tolist(),
-            "qfim_inverse": bounds.entries.tolist(),
+            "qfim_inverse": bounds.tolist(),
             "variance_bounds": {
-                label: float(value)
-                for label, value in zip(bounds.labels, bounds.variance_bounds())
+                label: float(value) for label, value in zip(fim.labels, np.diag(bounds))
             },
             "condition_number": float(np.linalg.cond(fim.entries)),
         },

@@ -1,9 +1,9 @@
 """Classical, observed, and quantum Fisher information for twin-beam counting.
 
 Classical and observed information matrices are built from the exact scores
-of the count model, from one evaluation each; benchmark quantum Fisher
-matrices cover coherent probes, Fock probes, and the low-loss twin-beam
-approximation.  Sensitivity
+of the count model, from one evaluation each; quantum Fisher matrices cover
+the twin beam (exactly, from the closed-form three-parameter bound, and in
+the low-loss approximation), coherent probes and Fock probes.  Sensitivity
 is the reciprocal of the total (eta1, eta2) variance, and crossover curves
 locate where the twin beam and an equal-energy coherent probe break even.
 """
@@ -16,7 +16,6 @@ import warnings
 import numpy as np
 from scipy.optimize import brentq
 
-from .gaussian import qfim_inverse_analytic
 from .pnd import P_FLOOR, PARAM_NAMES, NumericError, ParamSet, _check_domain, model_pnd
 
 ETA_LABELS = ("eta1", "eta2")
@@ -27,6 +26,8 @@ TAIL_FLOOR = 1e-9
 # smallest and largest amplitude a crossover ray probes
 ETA_FLOOR = 0.02
 ETA_CEILING = 1.0 - 1e-6
+# eigenvalues below this fraction of the largest make a matrix singular
+RCOND = 1e-12
 
 
 class LowLossValidityWarning(UserWarning):
@@ -64,11 +65,11 @@ class FisherMatrix:
             raise KeyError(f"no parameter {label!r} in {self.labels}") from None
 
 
-def _safe_inverse(matrix: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
+def _safe_inverse(matrix: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric matrix, raising with the null direction if singular."""
     eigvals, eigvecs = np.linalg.eigh(matrix)
     largest = float(np.abs(eigvals).max())
-    if largest == 0.0 or float(np.abs(eigvals).min()) <= rcond * largest:
+    if largest == 0.0 or float(np.abs(eigvals).min()) <= RCOND * largest:
         direction = eigvecs[:, int(np.abs(eigvals).argmin())]
         raise NumericError(
             f"matrix is singular along direction {np.round(direction, 6).tolist()}"
@@ -217,13 +218,42 @@ def qfim_lowloss_tmsv(eta1: float, eta2: float, r: float) -> np.ndarray:
     )
 
 
+def qfim_inverse_analytic(eta1: float, eta2: float, r: float) -> np.ndarray:
+    """Closed-form inverse of the three-parameter twin-beam quantum Fisher matrix.
+
+    A 3x3 array over (eta1, eta2, r), the per-shot quantum Cramer-Rao
+    covariance bound.  Its diagonal gives the variance bounds with the
+    other two parameters treated as jointly estimated:
+
+        Var eta1 >= (1 - eta1^2)(2/E + 1 - eta2^2) / (4 eta2^2),  E = 2 sinh^2 r,
+
+    and symmetrically for eta2; the r bound is 1/2 + (1 - eta1^2 - eta2^2) /
+    (4 eta1^2 eta2^2).
+    """
+    _check_domain(eta1=eta1, eta2=eta2, r=r)
+    if eta1 == 1.0 or eta2 == 1.0 or r == 0.0:
+        raise ValueError(
+            f"the bound needs eta < 1 and r > 0, got eta1={eta1}, eta2={eta2}, r={r}"
+        )
+    csch2 = 1.0 / np.sinh(r) ** 2
+    coth = 1.0 / np.tanh(r)
+    m = np.empty((3, 3))
+    m[0, 0] = (eta1**2 - 1.0) * (eta2**2 - csch2 - 1.0) / (4.0 * eta2**2)
+    m[1, 1] = (eta2**2 - 1.0) * (eta1**2 - csch2 - 1.0) / (4.0 * eta1**2)
+    m[2, 2] = 0.25 * ((1.0 / eta2**2 - 1.0) / eta1**2 - 1.0 / eta2**2 + 2.0)
+    m[0, 1] = m[1, 0] = (eta1**2 - 1.0) * (eta2**2 - 1.0) * coth**2 / (4.0 * eta1 * eta2)
+    m[0, 2] = m[2, 0] = -(eta1**2 - 1.0) * (eta2**2 - 1.0) * coth / (4.0 * eta1 * eta2**2)
+    m[1, 2] = m[2, 1] = -(eta1**2 - 1.0) * (eta2**2 - 1.0) * coth / (4.0 * eta1**2 * eta2)
+    return m
+
+
 def qfim_tmsv(eta1: float, eta2: float, r: float) -> FisherMatrix:
     """Exact three-parameter twin-beam quantum Fisher matrix over (eta1, eta2, r).
 
     The inverse of the closed-form bound ``qfim_inverse_analytic``; an ill
     conditioned bound (condition number above 1e12) raises NumericError.
     """
-    bound = qfim_inverse_analytic(eta1, eta2, r).entries
+    bound = qfim_inverse_analytic(eta1, eta2, r)
     cond = float(np.linalg.cond(bound))
     if not np.isfinite(cond) or cond > 1e12:
         raise NumericError(f"variance bound is ill conditioned (condition number {cond:.3g})")
@@ -279,7 +309,7 @@ def _sensitivity_for_source(source: str, eta1: float, eta2: float, r: float) -> 
     if source == "pnrd-fim":
         return _pnrd_sensitivity(eta1, eta2, r)
     if source == "three-param-qfim":
-        bounds = qfim_inverse_analytic(eta1, eta2, r).entries
+        bounds = qfim_inverse_analytic(eta1, eta2, r)
         return 1.0 / float(bounds[0, 0] + bounds[1, 1])
     if source == "lowloss-qfim":
         with warnings.catch_warnings():

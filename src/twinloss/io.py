@@ -2,8 +2,8 @@
 
 All writers are atomic (temp file + rename) and emit UTF-8 with LF line
 endings.  Histogram CSV holds the full grid with header ``m,n,count`` and
-rows sorted by (m, n); parameter JSON uses the keys eta1, eta2, r, nu1,
-nu2, phi and round-trips floats exactly.
+rows sorted by (m, n); parameter JSON uses the keys eta1, eta2, r, nu1 and
+nu2 and round-trips floats exactly.
 """
 
 from __future__ import annotations
@@ -84,10 +84,22 @@ def _check_fields(path, lineno: int, values: tuple) -> tuple:
     return values
 
 
+def _lines(path):
+    """The lines of a UTF-8 text file; a byte that is not UTF-8 raises ``path:line``."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            # such bytes decode to lone surrogates, which do not encode
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValueError(f"{path}:{lineno}: not valid UTF-8") from None
+            yield line
+
+
 def read_histogram_csv(path) -> Histogram:
     """Read a ``m,n,count`` grid holding each (m, n) up to the largest indices once."""
-    with open(path, encoding="utf-8") as handle:
-        lines = [(at, line.strip()) for at, line in enumerate(handle, start=1) if line.strip()]
+    lines = [(at, line.strip()) for at, line in enumerate(_lines(path), start=1) if line.strip()]
     if not lines or lines[0][1].replace(" ", "") != "m,n,count":
         raise ValueError(f"{path}: expected header 'm,n,count'")
     entries, seen = [], {}
@@ -107,13 +119,18 @@ def read_histogram_csv(path) -> Histogram:
     if not entries:
         raise ValueError(f"{path}: no data rows")
     table = np.array(entries, dtype=np.int64)
-    counts = np.zeros((int(table[:, 0].max()) + 1, int(table[:, 1].max()) + 1), np.int64)
-    counts[table[:, 0], table[:, 1]] = table[:, 2]
-    if len(entries) < counts.size:
-        gap = next(cell for cell in np.ndindex(counts.shape) if cell not in seen)
+    rows, cols = int(table[:, 0].max()) + 1, int(table[:, 1].max()) + 1
+    # check before allocating: a short file can name a grid of any size
+    if len(entries) < rows * cols:
+        # at most len(entries) of the first len(entries) + 1 cells in (m, n)
+        # order are present, so the first gap lies among them
+        cells = (divmod(index, cols) for index in range(len(entries) + 1))
+        gap = next(cell for cell in cells if cell not in seen)
         # name the first row that sorts after the gap, or the last row
         lineno = min((at for cell, at in seen.items() if cell > gap), default=lines[-1][0])
         raise ValueError(f"{path}:{lineno}: missing row {gap[0]},{gap[1]}")
+    counts = np.zeros((rows, cols), np.int64)
+    counts[table[:, 0], table[:, 1]] = table[:, 2]
     return Histogram(counts=counts)
 
 
@@ -144,7 +161,9 @@ def read_shot_list(path) -> Histogram:
     largest observed pair.  Records numpy's C parser refuses are re-read by
     ``_shot_pairs``, which accepts odd but valid lines and names ``path:line``.
     """
-    with open(path, encoding="utf-8") as handle:
+    # no generator here (one cost ~9 MB peak RSS over a long ingest run); a
+    # bad byte on line 1 fails the C parser, and the fallback names it
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         first = handle.readline()
     # line 1 is a header when _shot_pairs skips it; if it rejects line 1,
     # so is the record
@@ -162,8 +181,7 @@ def read_shot_list(path) -> Histogram:
     except (ValueError, Warning):
         pass
     if table is None or table.shape[1] != 2 or not table.size or table.min() < 0:
-        with open(path, encoding="utf-8") as handle:
-            table = np.array(_shot_pairs(path, handle), dtype=np.int64)
+        table = np.array(_shot_pairs(path, _lines(path)), dtype=np.int64)
     if not table.size:
         raise ValueError(f"{path}: no shots")
     return Histogram.from_shots(table)
@@ -175,8 +193,10 @@ def write_params_json(path, theta: ParamSet) -> None:
 
 def read_params_json(path) -> ParamSet:
     """Load a parameter set through ``ParamSet.from_dict``, naming the file in errors."""
-    with open(path, encoding="utf-8") as handle:
-        raw = json.load(handle)
+    try:
+        raw = json.loads("".join(_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: {exc.msg} (column {exc.colno})") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: expected a JSON object")
     try:

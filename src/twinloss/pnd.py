@@ -76,7 +76,6 @@ class ParamSet:
         r: squeezing parameter, >= 0; mean photons per arm before loss is sinh(r)**2.
         nu1: mean spurious counts per shot on detector a, >= 0.
         nu2: mean spurious counts per shot on detector b, >= 0.
-        phi: squeezing phase in radians.  Count statistics do not depend on it.
     """
 
     eta1: float
@@ -84,7 +83,6 @@ class ParamSet:
     r: float
     nu1: float = 0.0
     nu2: float = 0.0
-    phi: float = 0.0
 
     def __post_init__(self) -> None:
         _check_domain(**{name: getattr(self, name) for name in PARAM_NAMES})
@@ -154,15 +152,6 @@ class JointPND:
     @property
     def cutoff_b(self) -> int:
         return self.probs.shape[1] - 1
-
-    def marginal_means(self) -> tuple[float, float]:
-        """Mean count per detector, ignoring the tail mass."""
-        m = np.arange(self.probs.shape[0])
-        n = np.arange(self.probs.shape[1])
-        return (
-            float(m @ self.probs.sum(axis=1)),
-            float(n @ self.probs.sum(axis=0)),
-        )
 
 
 def _normalize_cutoff(cutoff) -> tuple[int, int]:
@@ -359,22 +348,3 @@ def model_pnd(theta: ParamSet, cutoff=None, wrt=()) -> JointPND:
     pnd = lossy_tmsv_pnd(theta.eta1, theta.eta2, theta.r, cutoff, wrt=loss)
     return apply_dark_counts(pnd, theta.nu1, theta.nu2, wrt=wrt)
 
-
-def lowloss_three_outcome(eta1: float, eta2: float, r: float) -> tuple[float, float, float]:
-    """Leading mixture weights in the low-loss regime.
-
-    Returns the probabilities of losing no photon, one photon from arm a, and
-    one photon from arm b.  These three weights carry all parameter
-    information to first order in (1 - eta_i).
-    """
-    _check_domain(eta1=eta1, eta2=eta2, r=r)
-    if r == 0.0:
-        raise ValueError(f"squeezing parameter must be > 0, got r={r}")
-    lam1 = (1.0 - eta1**2) / eta1**2
-    lam2 = (1.0 - eta2**2) / eta2**2
-    f2 = (eta1 * eta2 * np.tanh(r)) ** 2
-    c2 = np.cosh(r) ** 2
-    p00 = 1.0 / (c2 * (1.0 - f2))
-    p10 = lam1 * f2 / (c2 * (1.0 - f2) ** 2)
-    p01 = lam2 * f2 / (c2 * (1.0 - f2) ** 2)
-    return (float(p00), float(p10), float(p01))

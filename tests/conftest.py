@@ -205,3 +205,60 @@ def parse_shot_list(text):
             return None, lineno
         pairs.append((m, n))
     return pairs, None
+
+
+def lowloss_three_outcome(eta1, eta2, r):
+    """Oracle of ``qfim_lowloss_tmsv``: leading mixture weights in the low-loss regime.
+
+    Returns the probabilities of losing no photon, one photon from arm a, and
+    one photon from arm b.  These three weights carry all parameter
+    information to first order in (1 - eta_i).
+    """
+    lam1 = (1.0 - eta1**2) / eta1**2
+    lam2 = (1.0 - eta2**2) / eta2**2
+    f2 = (eta1 * eta2 * np.tanh(r)) ** 2
+    c2 = np.cosh(r) ** 2
+    p00 = 1.0 / (c2 * (1.0 - f2))
+    p10 = lam1 * f2 / (c2 * (1.0 - f2) ** 2)
+    p01 = lam2 * f2 / (c2 * (1.0 - f2) ** 2)
+    return (float(p00), float(p10), float(p01))
+
+
+# symplectic form over the quadratures (x1, p1, x2, p2)
+OMEGA = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+
+
+def lossy_tmsv_covariance(eta1, eta2, r):
+    """Covariance of the two-mode squeezed vacuum after per-arm loss, in closed form.
+
+    Quadratures (x1, p1, x2, p2), vacuum covariance the identity.  Arm i has
+    the diagonal block (eta_i^2 cosh 2r + 1 - eta_i^2) I, and the cross block
+    is -eta1 eta2 sinh 2r Z with Z = diag(1, -1).  Returns sigma and its
+    derivatives with respect to eta1, eta2 and r.
+    """
+    eye, z = np.eye(2), np.diag([1.0, -1.0])
+    ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
+
+    def blocks(arm1, arm2, cross):
+        return np.block([[arm1 * eye, cross * z], [cross * z, arm2 * eye]])
+
+    sigma = blocks(eta1**2 * ch + 1.0 - eta1**2, eta2**2 * ch + 1.0 - eta2**2, -eta1 * eta2 * sh)
+    derivs = [
+        blocks(2.0 * eta1 * (ch - 1.0), 0.0, -eta2 * sh),
+        blocks(0.0, 2.0 * eta2 * (ch - 1.0), -eta1 * sh),
+        blocks(2.0 * eta1**2 * sh, 2.0 * eta2**2 * sh, -2.0 * eta1 * eta2 * ch),
+    ]
+    return sigma, derivs
+
+
+def gaussian_qfim(eta1, eta2, r):
+    """Independent oracle: the Gaussian-state quantum Fisher matrix over (eta1, eta2, r).
+
+    F_ij = 1/2 vec(d_i sigma)^T (sigma (x) sigma - Omega (x) Omega)^-1 vec(d_j sigma)
+    for a zero-mean Gaussian state with vacuum covariance the identity
+    (Monras, arXiv:1303.3682; Safranek, J. Phys. A 52, 035304 (2019)).
+    """
+    sigma, derivs = lossy_tmsv_covariance(eta1, eta2, r)
+    vecs = np.array([d.ravel() for d in derivs])
+    metric = np.kron(sigma, sigma) - np.kron(OMEGA, OMEGA)
+    return 0.5 * vecs @ np.linalg.solve(metric, vecs.T)

@@ -265,6 +265,10 @@ def test_out_of_range_inputs_exit_2(tmp_path, capsys):
     assert "big.csv:3: value out of range" in capsys.readouterr().err
     assert main(["fit", str(hist), "--starts", "1"]) == 2
     assert "bighist.csv:2: value out of range" in capsys.readouterr().err
+    # a short file naming a 9.2e9-cell grid fails before the grid is allocated
+    hist.write_text("m,n,count\n0,0,1\n0,9206208256,1\n")
+    assert main(["fit", str(hist), "--starts", "1"]) == 2
+    assert "bighist.csv:3: missing row 0,1" in capsys.readouterr().err
 
 
 def test_env_var_supplies_default_seed(tmp_path, monkeypatch):

@@ -50,6 +50,10 @@ def test_histogram_csv_overflow_warns(tmp_path):
         write_histogram_csv(tmp_path / "hist.csv", hist)
 
 
+# "\udcff" stands for the byte 0xff, which is not UTF-8
+HISTOGRAM_MESSAGES = {"m,n,count\n0,0,1\n0,\udcff,2\n": r"bad\.csv:3: not valid UTF-8"}
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -59,12 +63,13 @@ def test_histogram_csv_overflow_warns(tmp_path):
         "m,n,count\n0,1\n",
         "m,n,count\n",
         "",
+        *HISTOGRAM_MESSAGES,
     ],
 )
 def test_read_histogram_csv_rejects_malformed(tmp_path, text):
     path = tmp_path / "bad.csv"
-    path.write_text(text)
-    with pytest.raises(ValueError):
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with pytest.raises(ValueError, match=HISTOGRAM_MESSAGES.get(text)):
         read_histogram_csv(path)
 
 
@@ -84,9 +89,14 @@ def test_read_histogram_csv_rejects_duplicate_row(tmp_path):
 
 def test_read_histogram_csv_rejects_missing_row(tmp_path):
     path = tmp_path / "gap.csv"
-    path.write_text("m,n,count\n0,0,5\n0,1,1\n1,1,2\n")
-    with pytest.raises(ValueError, match=r"gap\.csv:4: missing row 1,0"):
-        read_histogram_csv(path)
+    # the second file names a 9.2e9-cell grid; it must fail before allocating it
+    for text, match in (
+        ("m,n,count\n0,0,5\n0,1,1\n1,1,2\n", r"gap\.csv:4: missing row 1,0"),
+        ("m,n,count\n0,0,1\n0,9206208256,1\n", r"gap\.csv:3: missing row 0,1"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            read_histogram_csv(path)
 
 
 def test_read_shot_list_bins_pairs(tmp_path):
@@ -113,13 +123,15 @@ def test_read_shot_list_matches_from_shots(tmp_path):
 SHOT_LIST_MESSAGES = {
     "m,n\n0,1\n2,-1\n": r"bad\.csv:3: negative value",
     "m,n\n0,1\n99999999999999999999,1\n": r"bad\.csv:3: value out of range",
+    "m,n\n0,1\n2,\udcff\n": r"bad\.csv:3: not valid UTF-8",
+    "m,\udcffn\n0,1\n": r"bad\.csv:1: not valid UTF-8",
 }
 
 
 @pytest.mark.parametrize("text", ["", "0,1\nfoo,bar\n", "0,1,2\n", *SHOT_LIST_MESSAGES])
 def test_read_shot_list_rejects_malformed(tmp_path, text):
     path = tmp_path / "bad.csv"
-    path.write_text(text)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with pytest.raises(ValueError, match=SHOT_LIST_MESSAGES.get(text)):
         read_shot_list(path)
 
@@ -197,12 +209,11 @@ def test_params_json_round_trip_is_exact(tmp_path):
         r=1.3,
         nu1=0.1 / 3.0,
         nu2=0.0,
-        phi=0.25,
     )
     path = tmp_path / "theta.json"
     write_params_json(path, theta)
     back = read_params_json(path)
-    for name in ("eta1", "eta2", "r", "nu1", "nu2", "phi"):
+    for name in ("eta1", "eta2", "r", "nu1", "nu2"):
         assert getattr(back, name) == getattr(theta, name)
 
 
@@ -210,10 +221,14 @@ def test_read_params_json_defaults_and_validation(tmp_path):
     path = tmp_path / "theta.json"
     path.write_text(json.dumps({"eta1": 0.5, "eta2": 0.6, "r": 1.0}))
     theta = read_params_json(path)
-    assert theta.nu1 == 0.0 and theta.nu2 == 0.0 and theta.phi == 0.0
+    assert theta.nu1 == 0.0 and theta.nu2 == 0.0
 
     path.write_text(json.dumps([0.5, 0.6, 1.0]))
     with pytest.raises(ValueError, match="object"):
+        read_params_json(path)
+
+    path.write_text('{"eta1": 0.5,\n  "eta2": ')
+    with pytest.raises(ValueError, match=r"theta\.json:2: Expecting value"):
         read_params_json(path)
 
 
