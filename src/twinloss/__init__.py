@@ -42,13 +42,10 @@ from .pnd import (
 )
 from .sim import (
     BOOTSTRAP_MODES,
-    TrialSet,
     bootstrap,
-    group_trials,
     relative_error_map,
     rms_error,
     sample_shots,
-    simulate_trials,
 )
 
 __version__ = "0.1.0"
@@ -85,9 +82,6 @@ __all__ = [
     "covariance_estimate",
     "rng_stream",
     "sample_shots",
-    "TrialSet",
-    "simulate_trials",
-    "group_trials",
     "bootstrap",
     "relative_error_map",
     "rms_error",

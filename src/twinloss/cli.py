@@ -1,8 +1,9 @@
 """Command-line interface: simulate, fit, information matrices, crossover.
 
 Exit codes: 0 success, 2 validation error, 3 numeric failure, 4 I/O error.
-The environment variable TWINLOSS_SEED supplies the default seed when
-``--seed`` is omitted.
+A batch fit writes a row for every file, failed ones included, and exits
+with the code of the first file that failed.  The environment variable
+TWINLOSS_SEED supplies the default seed when ``--seed`` is omitted.
 """
 
 from __future__ import annotations
@@ -28,6 +29,21 @@ from .pnd import PARAM_NAMES, ParamSet
 from .sim import BOOTSTRAP_MODES, bootstrap, relative_error_map, rms_error, sample_shots
 
 FIT_COLUMNS = ("eta1", "eta2", "r", "nu1", "nu2", "objective_nats", "rms")
+
+# the exceptions the CLI reports, in the order it checks them: classes,
+# exit code and the label of the stderr line
+_FAILURES = (
+    ((ValueError, KeyError), 2, "error"),
+    ((NumericError, np.linalg.LinAlgError, FloatingPointError), 3, "numeric failure"),
+    ((OSError,), 4, "i/o error"),
+)
+_REPORTED = tuple(cls for classes, _, _ in _FAILURES for cls in classes)
+
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    """Exit code and stderr message for an exception of a class in ``_REPORTED``."""
+    code, label = next((c, lab) for classes, c, lab in _FAILURES if isinstance(exc, classes))
+    return code, f"{label}: {exc}"
 
 
 def _default_seed() -> int:
@@ -138,6 +154,15 @@ def _fit_one(payload) -> dict:
     return row
 
 
+def _fit_or_fail(payload) -> dict:
+    """``_fit_one``, or an error row holding the exit code and message of its failure."""
+    try:
+        return _fit_one(payload)
+    except _REPORTED as exc:
+        code, message = _failure(exc)
+        return {"file": payload[0], "error": code, "message": message}
+
+
 def cmd_fit(args) -> int:
     seed = _resolve_seed(args)
     free = _parse_free(args.free)
@@ -155,23 +180,28 @@ def cmd_fit(args) -> int:
         _emit_json(row, args.out)
         return 0
 
-    rows = _map_jobs(_fit_one, payloads, args.jobs)
+    rows = _map_jobs(_fit_or_fail, payloads, args.jobs)
+    failed = [row for row in rows if "error" in row]
+    for row in failed:
+        print(f"{row['file']}: {row['message']}", file=sys.stderr)
 
-    # one record per fit holding every summary column
-    table = [{**row["theta_hat"], **row} for row in rows]
-    values = np.array([[rec[c] for c in FIT_COLUMNS] for rec in table], dtype=float)
-    summary = [
-        ["mean"] + [float(v) for v in values.mean(axis=0)] + ["", ""],
-        ["stddev"] + [float(v) for v in values.std(axis=0, ddof=1)] + ["", ""],
-    ]
-    header = ("file",) + FIT_COLUMNS + ("converged", "iterations")
-    body = [[rec[c] for c in header] for rec in table]
+    # one record per file holding every summary column; a failed file's
+    # record holds only its name and error code
+    table = [{**row.get("theta_hat", {}), **row} for row in rows]
+    fitted = [rec for rec in table if "error" not in rec]
+    values = np.array([[rec[c] for c in FIT_COLUMNS] for rec in fitted], dtype=float)
+    blank = [""] * len(FIT_COLUMNS)
+    mean = values.mean(axis=0).tolist() if fitted else blank
+    stddev = values.std(axis=0, ddof=1).tolist() if len(fitted) > 1 else blank
+    summary = [["mean", *mean, "", "", ""], ["stddev", *stddev, "", "", ""]]
+    header = ("file",) + FIT_COLUMNS + ("converged", "iterations", "error")
+    body = [[rec.get(c, "") for c in header] for rec in table]
     tio.write_csv(args.out, header, body + summary)
-    n_bad = sum(1 for rec in table if not rec["converged"])
+    n_bad = sum(1 for rec in fitted if not rec["converged"])
     if n_bad:
         print(f"{n_bad} fit(s) did not converge", file=sys.stderr)
     print(f"wrote {len(table)} fit rows to {args.out}")
-    return 0
+    return failed[0]["error"] if failed else 0
 
 
 def cmd_fisher(args) -> int:
@@ -362,12 +392,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NumericError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 4
+    except _REPORTED as exc:
+        code, message = _failure(exc)
+        print(message, file=sys.stderr)
+        return code

@@ -158,8 +158,9 @@ def read_shot_list(path) -> Histogram:
     """Bin a raw shot record with one ``m,n`` pair per line.
 
     A leading non-numeric header line is tolerated; the grid spans the
-    largest observed pair.  Records numpy's C parser refuses are re-read by
-    ``_shot_pairs``, which accepts odd but valid lines and names ``path:line``.
+    largest observed pair, and one too large to allocate raises ValueError.
+    Records numpy's C parser refuses are re-read by ``_shot_pairs``, which
+    accepts odd but valid lines and names ``path:line``.
     """
     # no generator here (one cost ~9 MB peak RSS over a long ingest run); a
     # bad byte on line 1 fails the C parser, and the fallback names it
@@ -184,7 +185,14 @@ def read_shot_list(path) -> Histogram:
         table = np.array(_shot_pairs(path, _lines(path)), dtype=np.int64)
     if not table.size:
         raise ValueError(f"{path}: no shots")
-    return Histogram.from_shots(table)
+    try:
+        return Histogram.from_shots(table)
+    except (MemoryError, OverflowError):
+        m, n = (int(v) for v in table.max(axis=0))
+        raise ValueError(
+            f"{path}: largest counts {m},{n} need a {m + 1}x{n + 1} grid, "
+            "too large to allocate"
+        ) from None
 
 
 def write_params_json(path, theta: ParamSet) -> None:

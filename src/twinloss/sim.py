@@ -1,19 +1,19 @@
-"""Synthetic twin-beam data: shot sampling, trial batches, and bootstrap.
+"""Synthetic twin-beam data: shot sampling, bootstrap and model residuals.
 
 All randomness flows through counter-based generators keyed by (seed,
 stream), so every histogram is reproducible independently of how many other
-streams were drawn.
+streams were drawn.  Independent trial i is ``sample_shots(..., stream=i)``;
+pooling trials sums their ``counts`` and ``overflow``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 
 import numpy as np
 
 from .mle import Histogram, _rms_residual, rng_stream
-from .pnd import P_FLOOR, ParamSet, default_cutoff, model_pnd
+from .pnd import P_FLOOR, ParamSet, model_pnd
 
 BOOTSTRAP_MODES = (
     "nonparam-with-replacement",
@@ -58,99 +58,8 @@ def sample_shots(
     return Histogram(counts=flat.reshape(pnd.probs.shape), overflow=overflow)
 
 
-@dataclasses.dataclass(frozen=True)
-class TrialSet:
-    """Batch of equally sized histograms drawn under one parameter set."""
-
-    histograms: tuple[Histogram, ...]
-    shots_per_trial: int
-    seed: int
-    theta_true: ParamSet | None = None
-
-    def __post_init__(self) -> None:
-        histograms = tuple(self.histograms)
-        if not histograms:
-            raise ValueError("a trial set needs at least one histogram")
-        shape = histograms[0].counts.shape
-        for i, hist in enumerate(histograms):
-            if hist.counts.shape != shape:
-                raise ValueError(f"trial {i} grid {hist.counts.shape} != {shape}")
-            if hist.shots != self.shots_per_trial:
-                raise ValueError(
-                    f"trial {i} holds {hist.shots} shots, expected {self.shots_per_trial}"
-                )
-        object.__setattr__(self, "histograms", histograms)
-
-    @property
-    def n_trials(self) -> int:
-        return len(self.histograms)
-
-    def pooled(self) -> Histogram:
-        """All trials merged into one histogram."""
-        counts = np.sum([h.counts for h in self.histograms], axis=0)
-        return Histogram(
-            counts=counts, overflow=sum(h.overflow for h in self.histograms)
-        )
-
-
-def simulate_trials(
-    theta: ParamSet,
-    n_trials: int,
-    shots_per_trial: int,
-    cutoff=None,
-    seed: int = 0,
-) -> TrialSet:
-    """Independent repeated experiments, one stream per trial."""
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    if cutoff is None:
-        cutoff = default_cutoff(theta)
-    histograms = tuple(
-        sample_shots(theta, shots_per_trial, cutoff, seed=seed, stream=i)
-        for i in range(n_trials)
-    )
-    return TrialSet(
-        histograms=histograms,
-        shots_per_trial=shots_per_trial,
-        seed=seed,
-        theta_true=theta,
-    )
-
-
-def group_trials(trials: TrialSet, group_size: int) -> TrialSet:
-    """Merge consecutive trials into groups of ``group_size``.
-
-    Leftover trials that do not fill a group are dropped with a warning.
-    """
-    if group_size < 1 or group_size > trials.n_trials:
-        raise ValueError(
-            f"group_size must be in [1, {trials.n_trials}], got {group_size}"
-        )
-    n_groups, remainder = divmod(trials.n_trials, group_size)
-    if remainder:
-        warnings.warn(
-            f"dropping {remainder} trailing trials that do not fill a group",
-            UserWarning,
-            stacklevel=2,
-        )
-    grouped = (
-        TrialSet(
-            histograms=trials.histograms[g * group_size : (g + 1) * group_size],
-            shots_per_trial=trials.shots_per_trial,
-            seed=trials.seed,
-        ).pooled()
-        for g in range(n_groups)
-    )
-    return TrialSet(
-        histograms=tuple(grouped),
-        shots_per_trial=group_size * trials.shots_per_trial,
-        seed=trials.seed,
-        theta_true=trials.theta_true,
-    )
-
-
 def bootstrap(
-    data,
+    hist: Histogram,
     mode: str,
     n_resamples: int = 100,
     resample_size: int | None = None,
@@ -163,15 +72,14 @@ def bootstrap(
     frequencies, "nonparam-without-replacement" subsamples the recorded
     shots (a full-size draw returns an exact copy), and "parametric" samples
     the model at ``theta`` on the data grid.  Replica i uses stream i of
-    ``seed``.  A TrialSet is pooled first; overflow shots are not resampled.
+    ``seed``.  Overflow shots are not resampled.
     """
     if mode not in BOOTSTRAP_MODES:
         raise ValueError(f"unknown mode {mode!r}; choose from {BOOTSTRAP_MODES}")
     if n_resamples < 1:
         raise ValueError("n_resamples must be >= 1")
-    hist = data.pooled() if isinstance(data, TrialSet) else data
     if not isinstance(hist, Histogram):
-        raise ValueError("data must be a Histogram or TrialSet")
+        raise ValueError("data must be a Histogram")
     total = hist.total
     if total <= 0:
         raise ValueError("histogram holds no grid counts")

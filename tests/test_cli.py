@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface via ``main(argv)``."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -141,7 +142,7 @@ def test_fit_batch_writes_summary_csv(tmp_path, theta_a):
     )
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "file,eta1,eta2,r,nu1,nu2,objective_nats,rms,converged,iterations"
+    assert lines[0] == "file,eta1,eta2,r,nu1,nu2,objective_nats,rms,converged,iterations,error"
     assert len(lines) == 5
     assert lines[1].split(",")[1:] == lines[2].split(",")[1:]
     assert lines[3].startswith("mean,")
@@ -161,6 +162,58 @@ def test_fit_batch_without_out_fails_before_fitting(tmp_path, capsys, monkeypatc
     assert main(["fit", *paths, "--starts", "1"]) == 2
     assert "batch fit needs --out" in capsys.readouterr().err
     assert calls == []
+
+
+def _batch_args(tmp_path, theta, inputs):
+    """Fit arguments for ``inputs``, which name good files ("ok"), bad ones and missing ones."""
+    init_path = tmp_path / "init.json"
+    write_params_json(init_path, theta)
+    paths = []
+    for i, kind in enumerate(inputs):
+        path = tmp_path / f"t{i}.csv"
+        if kind == "ok":
+            write_histogram_csv(path, Histogram(counts=_exact_counts(theta)))
+        elif kind == "bad":
+            path.write_text("m,n,count\n0,0,x\n")
+        paths.append(str(path))
+    return ["fit", *paths, "--init-json", str(init_path), "--free", "eta1,eta2,r", "--starts", "1"]
+
+
+def test_fit_batch_keeps_every_row_when_one_file_fails(tmp_path, capsys, theta_a):
+    args = _batch_args(tmp_path, theta_a, ["ok", "ok", "bad"])
+    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+    assert main(args + ["--out", str(serial)]) == 2
+    bad = tmp_path / "t2.csv"
+    assert f"{bad}: error: {bad}:2: non-integer field\n" in capsys.readouterr().err
+    assert main(args + ["--out", str(parallel), "--jobs", "2"]) == 2
+    assert parallel.read_bytes() == serial.read_bytes()
+
+    lines = serial.read_text().splitlines()
+    assert len(lines) == 6
+    assert lines[1].split(",")[-1] == ""
+    assert lines[1].split(",")[1:] == lines[2].split(",")[1:]
+    assert lines[3] == f"{bad}" + "," * 10 + "2"
+    mean, stddev = lines[4].split(","), lines[5].split(",")
+    assert mean[:8] == ["mean"] + lines[1].split(",")[1:8]
+    assert stddev[0] == "stddev"
+    assert all(float(v) == 0.0 for v in stddev[1:8])
+    assert mean[8:] == stddev[8:] == ["", "", ""]
+
+
+def test_fit_batch_exits_with_first_failure_and_blanks_undefined_summary(
+    tmp_path, capsys, theta_a
+):
+    out = tmp_path / "batch.csv"
+    args = _batch_args(tmp_path, theta_a, ["ok", "missing", "bad"])
+    assert main(args + ["--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 't1.csv'}: i/o error: " in err
+    assert f"{tmp_path / 't2.csv'}: error: " in err
+    lines = out.read_text().splitlines()
+    assert [line.split(",")[-1] for line in lines[1:4]] == ["", "4", "2"]
+    # one fitted row: its mean is the row itself, and no stddev is defined
+    assert lines[4].split(",")[1:8] == lines[1].split(",")[1:8]
+    assert lines[5] == "stddev" + "," * 10
 
 
 def test_qfim_reports_inverse_diagonal(capsys):
@@ -269,6 +322,33 @@ def test_out_of_range_inputs_exit_2(tmp_path, capsys):
     hist.write_text("m,n,count\n0,0,1\n0,9206208256,1\n")
     assert main(["fit", str(hist), "--starts", "1"]) == 2
     assert "bighist.csv:3: missing row 0,1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "record",
+    ["m,n\n0,1\n0,9206208256\n", "m,n\n0,1\n9223372036854775807,9223372036854775807\n"],
+    ids=["memory", "overflow"],
+)
+def test_shot_list_grid_too_large_exits_2(tmp_path, record):
+    resource = pytest.importorskip("resource")
+    shots = tmp_path / "huge.csv"
+    shots.write_text(record)
+    # the first record asks for a 68.6 GiB grid: cap the child's address
+    # space at 3 GiB so the allocation fails there, never in this process
+    cap = 3 << 30
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+        "from twinloss.cli import main\n"
+        f"sys.exit(main(['fit', '--ingest', {str(shots)!r}, '--starts', '1']))\n"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert f"error: {shots}: largest counts " in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_env_var_supplies_default_seed(tmp_path, monkeypatch):

@@ -5,15 +5,12 @@ from scipy.stats import chi2
 from twinloss import (
     Histogram,
     ParamSet,
-    TrialSet,
     bootstrap,
-    group_trials,
     model_pnd,
     relative_error_map,
     rms_error,
     rng_stream,
     sample_shots,
-    simulate_trials,
 )
 
 
@@ -76,55 +73,6 @@ def test_sample_shots_warns_on_large_tail(theta_a):
         sample_shots(theta_a, 100, cutoff=4, seed=0)
 
 
-def test_simulate_trials_streams_are_trial_indices(theta_a):
-    trials = simulate_trials(theta_a, 3, 2000, cutoff=12, seed=5)
-    assert trials.n_trials == 3
-    assert trials.theta_true == theta_a
-    direct = sample_shots(theta_a, 2000, cutoff=12, seed=5, stream=2)
-    assert np.array_equal(trials.histograms[2].counts, direct.counts)
-
-
-def test_trial_set_validation(theta_a):
-    h = sample_shots(theta_a, 1000, cutoff=12, seed=0)
-    with pytest.raises(ValueError):
-        TrialSet(histograms=(), shots_per_trial=1000, seed=0)
-    with pytest.raises(ValueError):
-        TrialSet(histograms=(h,), shots_per_trial=999, seed=0)
-
-
-def test_group_trials_conserves_counts(theta_a):
-    trials = simulate_trials(theta_a, 6, 1500, cutoff=12, seed=3)
-    grouped = group_trials(trials, 3)
-    assert grouped.n_trials == 2
-    assert grouped.shots_per_trial == 4500
-    total_before = sum(h.counts.sum() for h in trials.histograms)
-    total_after = sum(h.counts.sum() for h in grouped.histograms)
-    assert total_before == total_after
-    assert np.array_equal(
-        grouped.histograms[0].counts,
-        trials.histograms[0].counts
-        + trials.histograms[1].counts
-        + trials.histograms[2].counts,
-    )
-
-
-def test_group_trials_drops_remainder_with_warning(theta_a):
-    trials = simulate_trials(theta_a, 5, 1000, cutoff=12, seed=3)
-    with pytest.warns(UserWarning, match="dropping"):
-        grouped = group_trials(trials, 2)
-    assert grouped.n_trials == 2
-    with pytest.raises(ValueError):
-        group_trials(trials, 6)
-
-
-def test_group_trials_shrinks_estimator_variance(theta_a):
-    trials = simulate_trials(theta_a, 40, 20_000, cutoff=16, seed=7)
-    grouped = group_trials(trials, 8)
-    var_single = np.var([marginal_mean(h) for h in trials.histograms], ddof=1)
-    var_grouped = np.var([marginal_mean(h) for h in grouped.histograms], ddof=1)
-    assert var_grouped < var_single / 2.0
-
-
 def test_bootstrap_with_replacement_matches_binomial_scatter(theta_a):
     hist = sample_shots(theta_a, 50_000, cutoff=14, seed=4)
     replicas = bootstrap(hist, "nonparam-with-replacement", n_resamples=200, seed=13)
@@ -157,12 +105,6 @@ def test_bootstrap_parametric_replays_model_streams(theta_a):
     assert replicas[1].overflow == direct.overflow
     with pytest.raises(ValueError):
         bootstrap(hist, "parametric", n_resamples=2)
-
-
-def test_bootstrap_pools_trial_sets(theta_a):
-    trials = simulate_trials(theta_a, 4, 1000, cutoff=12, seed=2)
-    replicas = bootstrap(trials, "nonparam-without-replacement", n_resamples=1)
-    assert replicas[0].total == 4000
 
 
 def test_bootstrap_mode_validation(theta_a):
