@@ -111,7 +111,7 @@ def _map_jobs(func, payloads, jobs: int) -> list:
 def _simulate_one(payload) -> tuple[str, int]:
     theta, shots, cutoff, seed, stream, path = payload
     hist = sample_shots(theta, shots, cutoff, seed=seed, stream=stream)
-    tio.write_histogram_csv(path, hist)
+    tio.write_histogram_csv(path, Histogram(counts=hist.counts))
     return path, hist.overflow
 
 

@@ -130,6 +130,11 @@ def observed_fim(
         raise ValueError("histogram must be a nonempty two-dimensional count grid")
     params = tuple(params)
     pnd = model_pnd(theta_hat, (counts.shape[0] - 1, counts.shape[1] - 1), wrt=params)
+    return _observed_information(counts, pnd, params)
+
+
+def _observed_information(counts: np.ndarray, pnd, params: tuple[str, ...]) -> FisherMatrix:
+    """``observed_fim`` of a count grid from a model grid holding scores for ``params``."""
     occupied = counts > 0
     starved = occupied & (pnd.probs < P_FLOOR)
     if starved.any():

@@ -8,6 +8,7 @@ nu2 and round-trips floats exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -75,15 +76,6 @@ def write_histogram_csv(path, hist: Histogram) -> None:
     write_csv(path, ("m", "n", "count"), rows)
 
 
-def _check_fields(path, lineno: int, values: tuple) -> tuple:
-    """Reject a parsed line holding a value outside int64 or below zero."""
-    if max(values) > _INT64_MAX:
-        raise ValueError(f"{path}:{lineno}: value out of range")
-    if min(values) < 0:
-        raise ValueError(f"{path}:{lineno}: negative value")
-    return values
-
-
 def _lines(path):
     """The lines of a UTF-8 text file; a byte that is not UTF-8 raises ``path:line``."""
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
@@ -97,21 +89,36 @@ def _lines(path):
             yield line
 
 
+def _int_rows(path, lines, width: int):
+    """Parse ``(lineno, line)`` pairs, skipping blank lines, into ``(lineno, values)``.
+
+    Each line must hold ``width`` comma-separated integers within int64 and
+    >= 0; the first that does not raises ValueError naming ``path:line``.
+    """
+    for lineno, line in lines:
+        parts = line.strip().split(",")
+        if parts == [""]:
+            continue
+        if len(parts) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(parts)}")
+        try:
+            values = tuple(int(part) for part in parts)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-integer field") from None
+        if max(values) > _INT64_MAX:
+            raise ValueError(f"{path}:{lineno}: value out of range")
+        if min(values) < 0:
+            raise ValueError(f"{path}:{lineno}: negative value")
+        yield lineno, values
+
+
 def read_histogram_csv(path) -> Histogram:
     """Read a ``m,n,count`` grid holding each (m, n) up to the largest indices once."""
     lines = [(at, line.strip()) for at, line in enumerate(_lines(path), start=1) if line.strip()]
     if not lines or lines[0][1].replace(" ", "") != "m,n,count":
         raise ValueError(f"{path}: expected header 'm,n,count'")
     entries, seen = [], {}
-    for lineno, line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-        try:
-            m, n, count = (int(part) for part in parts)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-integer field") from None
-        _check_fields(path, lineno, (m, n, count))
+    for lineno, (m, n, count) in _int_rows(path, lines[1:], 3):
         if (m, n) in seen:
             raise ValueError(f"{path}:{lineno}: duplicate row {m},{n}")
         seen[m, n] = lineno
@@ -134,41 +141,23 @@ def read_histogram_csv(path) -> Histogram:
     return Histogram(counts=counts)
 
 
-def _shot_pairs(path, lines) -> list:
-    """The line-by-line shot-list reader: ``(m, n)`` pairs, naming ``path:line`` on rejection."""
-    pairs = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
-        try:
-            pair = (int(parts[0]), int(parts[1]))
-        except ValueError:
-            if lineno == 1:
-                continue
-            raise ValueError(f"{path}:{lineno}: non-integer field") from None
-        pairs.append(_check_fields(path, lineno, pair))
-    return pairs
-
-
 def read_shot_list(path) -> Histogram:
     """Bin a raw shot record with one ``m,n`` pair per line.
 
-    A leading non-numeric header line is tolerated; the grid spans the
-    largest observed pair, and one too large to allocate raises ValueError.
-    Records numpy's C parser refuses are re-read by ``_shot_pairs``, which
-    accepts odd but valid lines and names ``path:line``.
+    A leading line of two fields that are not both integers is a header;
+    the grid spans the largest observed pair, and one too large to allocate
+    raises ValueError.  Records numpy's C parser refuses are re-read by
+    ``_int_rows``, which accepts odd but valid lines and names ``path:line``.
     """
     # no generator here (one cost ~9 MB peak RSS over a long ingest run); a
     # bad byte on line 1 fails the C parser, and the fallback names it
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        first = handle.readline()
-    # line 1 is a header when _shot_pairs skips it; if it rejects line 1,
-    # so is the record
-    header = int(first.strip() != "" and not _shot_pairs(path, [first]))
+        fields = handle.readline().split(",")
+    try:
+        list(map(int, fields))
+        header = 0
+    except ValueError:
+        header = int(len(fields) == 2)
     table = None
     try:
         # promoted warnings catch the empty records and float-to-int
@@ -182,17 +171,14 @@ def read_shot_list(path) -> Histogram:
     except (ValueError, Warning):
         pass
     if table is None or table.shape[1] != 2 or not table.size or table.min() < 0:
-        table = np.array(_shot_pairs(path, _lines(path)), dtype=np.int64)
+        lines = itertools.islice(enumerate(_lines(path), start=1), header, None)
+        table = np.array([pair for _, pair in _int_rows(path, lines, 2)], dtype=np.int64)
     if not table.size:
         raise ValueError(f"{path}: no shots")
     try:
         return Histogram.from_shots(table)
-    except (MemoryError, OverflowError):
-        m, n = (int(v) for v in table.max(axis=0))
-        raise ValueError(
-            f"{path}: largest counts {m},{n} need a {m + 1}x{n + 1} grid, "
-            "too large to allocate"
-        ) from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_params_json(path, theta: ParamSet) -> None:

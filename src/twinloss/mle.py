@@ -17,9 +17,9 @@ import numpy as np
 from scipy.optimize import OptimizeResult
 from scipy.special import expit, logit
 
-from .fisher import _gram, _safe_inverse, observed_fim
+from .fisher import _gram, _observed_information, _safe_inverse, observed_fim
 from .pnd import (
-    PARAM_NAMES, JointPND, NumericError, ParamSet, _normalize_cutoff, check_param_names, model_pnd
+    PARAM_NAMES, JointPND, NumericError, ParamSet, check_param_names, model_pnd
 )
 
 # starts after the first add Gaussian noise of this width to the unconstrained start
@@ -78,12 +78,22 @@ class Histogram:
     def cutoff(self) -> tuple[int, int]:
         return (self.counts.shape[0] - 1, self.counts.shape[1] - 1)
 
-    @classmethod
-    def from_shots(cls, shots, cutoff=None) -> "Histogram":
-        """Bin an (n, 2) array of (m, n) click pairs.
+    @property
+    def frequencies(self) -> np.ndarray:
+        """Grid counts over their total; an empty grid raises ValueError."""
+        return self.counts / self._grid_total()
 
-        Without a cutoff the grid spans the observed maxima, so nothing
-        overflows; with one, pairs beyond it are pooled in ``overflow``.
+    def _grid_total(self) -> int:
+        total = self.total
+        if total <= 0:
+            raise ValueError("histogram holds no grid counts")
+        return total
+
+    @classmethod
+    def from_shots(cls, shots) -> "Histogram":
+        """Bin an (n, 2) array of (m, n) click pairs on a grid spanning their maxima.
+
+        A grid too large to allocate raises ValueError.
         """
         pairs = np.asarray(shots)
         if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] == 0:
@@ -92,17 +102,14 @@ class Histogram:
         if not integral or pairs.min() < 0:
             raise ValueError("click counts must be integers >= 0")
         pairs = pairs.astype(np.int64, copy=False)
-        if cutoff is None:
-            ca, cb = int(pairs[:, 0].max()), int(pairs[:, 1].max())
-        else:
-            ca, cb = _normalize_cutoff(cutoff)
-        inside = (pairs[:, 0] <= ca) & (pairs[:, 1] <= cb)
-        cells = pairs[:, 0] * (cb + 1) + pairs[:, 1]
-        flat = np.bincount(cells[inside], minlength=(ca + 1) * (cb + 1))
-        return cls(
-            counts=flat.reshape(ca + 1, cb + 1),
-            overflow=int((~inside).sum()),
-        )
+        ca, cb = int(pairs[:, 0].max()), int(pairs[:, 1].max())
+        try:
+            flat = np.bincount(pairs[:, 0] * (cb + 1) + pairs[:, 1], minlength=(ca + 1) * (cb + 1))
+            return cls(counts=flat.reshape(ca + 1, cb + 1))
+        except (MemoryError, OverflowError):
+            raise ValueError(
+                f"largest counts {ca},{cb} need a {ca + 1}x{cb + 1} grid, too large to allocate"
+            ) from None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -129,7 +136,7 @@ class MleResult:
 
 def _rms_residual(hist: Histogram, probs: np.ndarray) -> float:
     """Root-mean-square of (empirical frequency - model probability) over the grid."""
-    return float(np.sqrt(np.mean((hist.counts / hist.total - probs) ** 2)))
+    return float(np.sqrt(np.mean((hist.frequencies - probs) ** 2)))
 
 
 def _kl_divergence(q: np.ndarray, p: np.ndarray) -> float:
@@ -148,15 +155,12 @@ def _conditioned_kl(hist: Histogram, pnd: JointPND, slopes=1.0):
     d theta / dx = ``slopes`` for the parameters in ``pnd.scores``.  The
     derivatives are None without scores or when the objective is +inf.
     """
-    counts = hist.counts
-    total = hist.total
-    if total <= 0:
-        raise ValueError("histogram holds no grid counts")
-    occupied = counts > 0
+    frequencies = hist.frequencies
+    occupied = hist.counts > 0
     p_occ = pnd.probs[occupied]
     if not np.isfinite(p_occ).all() or p_occ.min() <= 0.0:
         return np.inf, None, None
-    q_occ = counts[occupied] / total
+    q_occ = frequencies[occupied]
     mass = p_occ.sum()
     # true KL is >= 0; roundoff near a perfect fit must not break that
     value = max(_kl_divergence(q_occ, p_occ / mass), 0.0)
@@ -186,9 +190,8 @@ def moment_init(hist: Histogram) -> ParamSet:
     amplitude off the ratio of its marginal mean to sinh(r)^2.
     """
     counts = hist.counts
-    total = hist.total
-    if total <= 0:
-        raise ValueError("histogram holds no grid counts")
+    # divide summed counts, not frequencies: summing frequencies rounds differently
+    total = hist._grid_total()
     m_axis = np.arange(counts.shape[0])
     n_axis = np.arange(counts.shape[1])
     mean1 = float(counts.sum(axis=1) @ m_axis) / total
@@ -356,7 +359,8 @@ def fit(
 
     theta_hat = _from_unconstrained(best.x, base, free_t, parametrization)[0]
     try:
-        covariance, condition = covariance_estimate(hist, theta_hat, params=free_t)
+        fim = _observed_information(hist.counts, best.model, free_t)
+        covariance, condition = _safe_inverse(fim.entries), float(np.linalg.cond(fim.entries))
     except (NumericError, np.linalg.LinAlgError) as exc:
         warnings.warn(f"covariance unavailable: {exc}", UserWarning, stacklevel=2)
         covariance, condition = None, None

@@ -80,9 +80,8 @@ def bootstrap(
         raise ValueError("n_resamples must be >= 1")
     if not isinstance(hist, Histogram):
         raise ValueError("data must be a Histogram")
+    frequencies = hist.frequencies.ravel()
     total = hist.total
-    if total <= 0:
-        raise ValueError("histogram holds no grid counts")
     size = total if resample_size is None else int(resample_size)
     if size < 1:
         raise ValueError("resample_size must be >= 1")
@@ -106,7 +105,7 @@ def bootstrap(
             # remainder to the last category, which is then an observed bin,
             # and there is no overflow bin, so every replica holds ``size`` shots
             flat = np.zeros_like(flat_counts)
-            flat[observed] = rng.multinomial(size, flat_counts[observed] / total)
+            flat[observed] = rng.multinomial(size, frequencies[observed])
             replicas.append(Histogram(counts=flat.reshape(shape), overflow=0))
         elif mode == "nonparam-without-replacement":
             flat = rng.multivariate_hypergeometric(flat_counts, size)
@@ -119,10 +118,8 @@ def bootstrap(
 
 def relative_error_map(hist: Histogram, theta: ParamSet) -> np.ndarray:
     """Per-bin (empirical - model) / model on the data grid; NaN below ``P_FLOOR``."""
-    if hist.total <= 0:
-        raise ValueError("histogram holds no grid counts")
+    q = hist.frequencies
     probs = model_pnd(theta, hist.cutoff).probs
-    q = hist.counts / hist.total
     out = np.full(probs.shape, np.nan)
     mask = probs >= P_FLOOR
     out[mask] = (q[mask] - probs[mask]) / probs[mask]
@@ -131,6 +128,4 @@ def relative_error_map(hist: Histogram, theta: ParamSet) -> np.ndarray:
 
 def rms_error(hist: Histogram, theta: ParamSet) -> float:
     """Root-mean-square of (empirical - model) over the data grid."""
-    if hist.total <= 0:
-        raise ValueError("histogram holds no grid counts")
     return _rms_residual(hist, model_pnd(theta, hist.cutoff).probs)

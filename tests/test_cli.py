@@ -40,6 +40,34 @@ def test_simulate_writes_trial_files(tmp_path, theta_a):
     assert np.array_equal(hist.counts, ref.counts)
 
 
+def test_simulate_reports_overflow_once(tmp_path, capsys):
+    out_dir = tmp_path / "trials"
+    with pytest.warns(UserWarning, match="beyond the cutoff") as record:
+        code = main(
+            [
+                "simulate",
+                "--eta1", "0.39202", "--eta2", "0.38206", "--r", "1.3",
+                "--shots", "1000", "--trials", "2", "--cutoff", "2",
+                "--seed", "7", "--out-dir", str(out_dir),
+            ]
+        )
+    assert code == 0
+    assert not [w for w in record if "no CSV representation" in str(w.message)]
+    err = capsys.readouterr().err.splitlines()
+    theta = ParamSet(eta1=0.39202, eta2=0.38206, r=1.3)
+    for stream in range(2):
+        path = out_dir / f"trial-{stream:04d}.csv"
+        with pytest.warns(UserWarning, match="beyond the cutoff"):
+            ref = sample_shots(theta, 1000, 2, seed=7, stream=stream)
+        assert ref.overflow > 0
+        assert [line for line in err if line.startswith(str(path))] == [
+            f"{path}: {ref.overflow} overflow shots"
+        ]
+        expected = tmp_path / "expected.csv"
+        write_histogram_csv(expected, Histogram(counts=ref.counts))
+        assert path.read_bytes() == expected.read_bytes()
+
+
 def test_simulate_parallel_matches_serial(tmp_path):
     base = [
         "simulate",

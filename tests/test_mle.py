@@ -1,17 +1,24 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from twinloss import (
+    BOOTSTRAP_MODES,
     Histogram,
     ParamSet,
+    bootstrap,
     classical_fim,
     covariance_estimate,
     fit,
     kl_objective,
     model_pnd,
     moment_init,
+    relative_error_map,
+    rms_error,
     sample_shots,
 )
 from twinloss.io import result_to_dict, write_result_json
@@ -158,17 +165,59 @@ def test_covariance_matches_information_inverse(theta_a):
 
 def test_histogram_from_shots_bins_and_overflows():
     shots = np.array([[0, 0], [1, 2], [1, 2], [4, 0], [9, 9]])
-    hist = Histogram.from_shots(shots, cutoff=(4, 4))
-    assert hist.counts[0, 0] == 1
-    assert hist.counts[1, 2] == 2
-    assert hist.counts[4, 0] == 1
-    assert hist.overflow == 1
-    assert hist.total == 4
-    assert hist.shots == 5
-
     unbounded = Histogram.from_shots(shots)
     assert unbounded.counts.shape == (10, 10)
     assert unbounded.overflow == 0
+
+
+def test_histogram_from_shots_rejects_grid_too_large_to_allocate():
+    with pytest.raises(ValueError, match="too large to allocate"):
+        Histogram.from_shots(np.array([[2**63 - 1, 0]]))
+    resource = pytest.importorskip("resource")
+    # this pair asks for a 68.6 GiB grid: cap the child's address space at
+    # 3 GiB so the allocation fails there, never in this process
+    cap = 3 << 30
+    script = (
+        "import resource\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+        "import numpy as np\n"
+        "from twinloss.mle import Histogram\n"
+        "try:\n"
+        "    Histogram.from_shots(np.array([[0, 9206208256]]))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "largest counts 0,9206208256 need a 1x9206208257 grid" in proc.stdout
+    assert "too large to allocate" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda hist, theta: kl_objective(hist, theta),
+        lambda hist, theta: moment_init(hist),
+        lambda hist, theta: fit(hist),
+        lambda hist, theta: fit(hist, theta),
+        *(
+            lambda hist, theta, mode=mode: bootstrap(hist, mode, theta=theta)
+            for mode in BOOTSTRAP_MODES
+        ),
+        lambda hist, theta: relative_error_map(hist, theta),
+        lambda hist, theta: rms_error(hist, theta),
+    ],
+    ids=[
+        "kl_objective", "moment_init", "fit", "fit-init", *BOOTSTRAP_MODES,
+        "relative_error_map", "rms_error",
+    ],
+)
+def test_empty_histogram_is_rejected(call, theta_a):
+    with pytest.raises(ValueError, match="holds no grid counts"):
+        call(Histogram(counts=np.zeros((4, 4), dtype=int)), theta_a)
 
 
 def test_histogram_validation():
