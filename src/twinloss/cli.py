@@ -89,10 +89,6 @@ def _add_theta_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nu2", type=float, default=0.0, help="arm-2 dark-count rate")
 
 
-def _read_histogram(path: str, ingest: bool):
-    return tio.read_shot_list(path) if ingest else tio.read_histogram_csv(path)
-
-
 def _emit_json(obj, out: str | None) -> None:
     if out is None:
         print(json.dumps(obj, indent=2))
@@ -144,11 +140,8 @@ def cmd_simulate(args) -> int:
 
 
 def _fit_one(payload) -> dict:
-    path, ingest, init, free, starts, seed, parametrization = payload
-    hist = _read_histogram(path, ingest)
-    result = fit(
-        hist, init, free=free, n_starts=starts, seed=seed, parametrization=parametrization
-    )
+    path, init, free, starts, seed = payload
+    result = fit(tio.read_counts(path), init, free=free, n_starts=starts, seed=seed)
     row = {"file": path}
     row.update(tio.result_to_dict(result))
     return row
@@ -167,10 +160,7 @@ def cmd_fit(args) -> int:
     seed = _resolve_seed(args)
     free = _parse_free(args.free)
     init = tio.read_params_json(args.init_json) if args.init_json else None
-    payloads = [
-        (path, args.ingest, init, free, args.starts, seed, args.parametrization)
-        for path in args.inputs
-    ]
+    payloads = [(path, init, free, args.starts, seed) for path in args.inputs]
     if len(payloads) > 1 and args.out is None:
         raise ValueError("batch fit needs --out for the summary CSV")
     if len(payloads) == 1:
@@ -258,7 +248,7 @@ def cmd_crossover(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    hist = _read_histogram(args.input, args.ingest)
+    hist = tio.read_counts(args.input)
     theta = tio.read_params_json(args.params_json) if args.params_json else None
     replicas = bootstrap(
         hist,
@@ -281,7 +271,7 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_relerr(args) -> int:
-    hist = _read_histogram(args.input, args.ingest)
+    hist = tio.read_counts(args.input)
     theta = tio.read_params_json(args.params_json)
     grid = relative_error_map(hist, theta)
     if args.out is not None:
@@ -322,15 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="maximum-likelihood fit of histogram file(s)")
-    p.add_argument("inputs", nargs="+", help="histogram CSV files (or shot lists with --ingest)")
-    p.add_argument("--ingest", action="store_true", help="inputs are raw m,n shot lists")
+    p.add_argument("inputs", nargs="+", help="histogram CSV or m,n shot-list files")
     p.add_argument("--free", default=",".join(PARAM_NAMES), help="comma-separated free parameters")
     p.add_argument("--init-json", default=None, help="starting parameters (JSON)")
     p.add_argument("--starts", type=int, default=4, help="optimizer restarts")
     p.add_argument("--seed", type=int, default=None, help="jitter seed (default TWINLOSS_SEED or 0)")
-    p.add_argument(
-        "--parametrization", choices=("eta", "q"), default="eta", help="fit eta or q = eta^2"
-    )
     p.add_argument("--out", default=None, help="result JSON (single) or summary CSV (batch)")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.set_defaults(func=cmd_fit)
@@ -363,8 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_crossover)
 
     p = sub.add_parser("bootstrap", help="resample a histogram into replica files")
-    p.add_argument("--input", required=True, help="histogram CSV (or shot list with --ingest)")
-    p.add_argument("--ingest", action="store_true", help="input is a raw m,n shot list")
+    p.add_argument("--input", required=True, help="histogram CSV or m,n shot-list file")
     p.add_argument("--mode", choices=BOOTSTRAP_MODES, required=True)
     p.add_argument("--resamples", type=int, default=100)
     p.add_argument("--size", type=int, default=None, help="shots per replica (default: observed)")
@@ -375,8 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bootstrap)
 
     p = sub.add_parser("relerr", help="per-bin relative error of data against the model")
-    p.add_argument("--input", required=True, help="histogram CSV (or shot list with --ingest)")
-    p.add_argument("--ingest", action="store_true", help="input is a raw m,n shot list")
+    p.add_argument("--input", required=True, help="histogram CSV or m,n shot-list file")
     p.add_argument("--params-json", required=True, help="model parameters (JSON)")
     p.add_argument("--out", default=None, help="per-bin CSV path")
     p.set_defaults(func=cmd_relerr)

@@ -256,11 +256,11 @@ def qfim_tmsv(eta1: float, eta2: float, r: float) -> FisherMatrix:
     """Exact three-parameter twin-beam quantum Fisher matrix over (eta1, eta2, r).
 
     The inverse of the closed-form bound ``qfim_inverse_analytic``; an ill
-    conditioned bound (condition number above 1e12) raises NumericError.
+    conditioned bound (condition number above 1 / RCOND) raises NumericError.
     """
     bound = qfim_inverse_analytic(eta1, eta2, r)
     cond = float(np.linalg.cond(bound))
-    if not np.isfinite(cond) or cond > 1e12:
+    if not np.isfinite(cond) or cond > 1.0 / RCOND:
         raise NumericError(f"variance bound is ill conditioned (condition number {cond:.3g})")
     qfim = np.linalg.inv(bound)
     return FisherMatrix(labels=("eta1", "eta2", "r"), entries=0.5 * (qfim + qfim.T))

@@ -149,7 +149,7 @@ def read_shot_list(path) -> Histogram:
     raises ValueError.  Records numpy's C parser refuses are re-read by
     ``_int_rows``, which accepts odd but valid lines and names ``path:line``.
     """
-    # no generator here (one cost ~9 MB peak RSS over a long ingest run); a
+    # no generator here (one cost ~9 MB peak RSS over many reads); a
     # bad byte on line 1 fails the C parser, and the fallback names it
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         fields = handle.readline().split(",")
@@ -179,6 +179,18 @@ def read_shot_list(path) -> Histogram:
         return Histogram.from_shots(table)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def read_counts(path) -> Histogram:
+    """Read a count file with the reader its first non-blank line calls for.
+
+    A line of exactly two comma-separated fields starts an ``m,n`` shot list
+    (``read_shot_list``); anything else, an empty file included, is read as a
+    ``m,n,count`` histogram CSV (``read_histogram_csv``).
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        first = next((line for line in handle if line.strip()), "")
+    return read_shot_list(path) if first.count(",") == 1 else read_histogram_csv(path)
 
 
 def write_params_json(path, theta: ParamSet) -> None:

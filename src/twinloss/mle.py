@@ -212,13 +212,13 @@ def moment_init(hist: Histogram) -> ParamSet:
     )
 
 
-def _to_unconstrained(theta: ParamSet, free: tuple[str, ...], parametrization: str):
+def _to_unconstrained(theta: ParamSet, free: tuple[str, ...]):
     x = []
     for name in free:
         value = getattr(theta, name)
         if name in ("eta1", "eta2"):
             value = min(max(value, 1e-6), 1.0 - 1e-9)
-            x.append(float(logit(value**2 if parametrization == "q" else value)))
+            x.append(float(logit(value)))
         elif name == "r":
             # inverse softplus log(expm1(r)), stable for small and large r
             value = max(value, 1e-6)
@@ -229,16 +229,14 @@ def _to_unconstrained(theta: ParamSet, free: tuple[str, ...], parametrization: s
 
 
 def _from_unconstrained(
-    x: np.ndarray, base: ParamSet, free: tuple[str, ...], parametrization: str
+    x: np.ndarray, base: ParamSet, free: tuple[str, ...]
 ) -> tuple[ParamSet, np.ndarray]:
     """The parameter set at x, and d theta / d x of each free parameter's transform."""
     updates, slopes = {}, []
     for name, value in zip(free, x):
         if name in ("eta1", "eta2"):
             w = float(expit(value))
-            root = float(np.sqrt(w))
-            # eta = expit(x), or eta = sqrt(expit(x)) when fitting q = eta^2
-            pair = (root, root * (1.0 - w) / 2.0) if parametrization == "q" else (w, w * (1.0 - w))
+            pair = (w, w * (1.0 - w))  # logistic
         elif name == "r":
             pair = (float(np.logaddexp(0.0, value)), float(expit(value)))  # softplus
         else:
@@ -308,13 +306,13 @@ def fit(
     free: tuple[str, ...] = PARAM_NAMES,
     n_starts: int = 4,
     seed: int = 0,
-    parametrization: str = "eta",
 ) -> MleResult:
     """Fit the count model to a histogram by multi-start Fisher scoring.
 
     Free parameters are optimized through unconstrained transforms (logistic
-    for transmissions, softplus for squeezing, log for dark counts); the
-    remaining parameters stay at their ``init`` values.  Every evaluation
+    for the transmission amplitudes, softplus for squeezing, log for dark
+    counts); the remaining parameters stay at their ``init`` values.  The
+    count model failing at every start raises NumericError.  Every evaluation
     returns the objective with its exact gradient and the information of
     the conditioned model, chained through the transforms, and ``minimize``
     steps by -F^-1 g, halving until the objective does not rise.  Start 0
@@ -327,7 +325,6 @@ def fit(
         free: parameter names to optimize, in any order.
         n_starts: optimizer restarts, >= 1.
         seed: jitter seed, >= 0 (counter-based generator, reproducible).
-        parametrization: "eta" fits the amplitudes, "q" their squares.
     """
     free_set = set(check_param_names(free))
     free_t = tuple(name for name in PARAM_NAMES if name in free_set)
@@ -335,19 +332,17 @@ def fit(
         raise ValueError("at least one parameter must be free")
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
-    if parametrization not in ("eta", "q"):
-        raise ValueError(f"parametrization must be 'eta' or 'q', got {parametrization!r}")
 
     base = init if init is not None else moment_init(hist)
-    x0 = _to_unconstrained(base, free_t, parametrization)
+    x0 = _to_unconstrained(base, free_t)
     rng = rng_stream(seed, 0)
 
     def evaluate(x: np.ndarray):
-        theta, slopes = _from_unconstrained(x, base, free_t, parametrization)
+        theta, slopes = _from_unconstrained(x, base, free_t)
         try:
             pnd = model_pnd(theta, hist.cutoff, wrt=free_t)
         except NumericError:
-            # a trial step rounded a parameter onto its domain boundary
+            # a trial step hit a domain boundary or an uncertifiable loss series
             return np.inf, None, None, None
         return (*_conditioned_kl(hist, pnd, slopes), pnd)
 
@@ -355,9 +350,12 @@ def fit(
     for start in range(n_starts):
         x_start = x0 if start == 0 else x0 + rng.normal(0.0, JITTER, size=x0.size)
         runs.append(minimize(evaluate, x_start))
-    best = min(runs, key=lambda run: run.fun)
+    evaluated = [run for run in runs if run.model is not None]
+    if not evaluated:
+        raise NumericError("the count model failed at every start")
+    best = min(evaluated, key=lambda run: run.fun)
 
-    theta_hat = _from_unconstrained(best.x, base, free_t, parametrization)[0]
+    theta_hat = _from_unconstrained(best.x, base, free_t)[0]
     try:
         fim = _observed_information(hist.counts, best.model, free_t)
         covariance, condition = _safe_inverse(fim.entries), float(np.linalg.cond(fim.entries))

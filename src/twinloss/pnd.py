@@ -42,11 +42,14 @@ class NumericError(RuntimeError):
 
 
 def check_param_names(names) -> tuple[str, ...]:
-    """The names as a tuple, raising ValueError for any not in PARAM_NAMES."""
+    """The names as a tuple, raising ValueError for any not in PARAM_NAMES or named twice."""
+    names = tuple(names)
     for name in names:
         if name not in PARAM_NAMES:
             raise ValueError(f"unknown parameter {name!r}; choose from {PARAM_NAMES}")
-    return tuple(names)
+    if len(set(names)) < len(names):
+        raise ValueError(f"parameter names repeat: {names}")
+    return names
 
 
 def _check_domain(wrt=(), **values) -> None:
@@ -201,7 +204,8 @@ def lossy_tmsv_pnd(
     (1 - q2) tanh^2 r < 1, so the remainder of each bin is bounded by the
     geometric series t_N x / (1 - x) on its last term t_N, x being that
     ratio.  N_max starts from an estimate in rho and grows until that bound
-    is at most ``tol`` times the bin's value in every bin.
+    is at most ``tol`` times the bin's value in every bin; a series that
+    does not certify within 100 000 terms raises NumericError.
 
     Scores reuse the factors, with d log B / d eta = 2k / eta - 2 eta (N - k)
     / (1 - eta^2) and d log w / dr = 2N / (sinh r cosh r) - 2 tanh r.  A
@@ -239,7 +243,7 @@ def lossy_tmsv_pnd(
     log_t2, log_norm = 2.0 * np.log(np.tanh(r)), 2.0 * np.log(np.cosh(r))
     rho = (1.0 - eta1**2) * (1.0 - eta2**2) * np.tanh(r) ** 2
     if rho >= 1.0:
-        raise RuntimeError("photon-number series failed to converge")
+        raise NumericError("photon-number series failed to converge")
     top, limit = max(ca, cb), 100_000
     # terms of the far bins peak near N ~ top / (1 - sqrt(rho)), then fall like
     # rho^N; 1.5 times that estimate certified without regrowth on every grid tried
@@ -261,7 +265,7 @@ def lossy_tmsv_pnd(
         if np.all((ratio < 1.0) & (bound <= tol * probs)):
             break
         if n_max >= limit:
-            raise RuntimeError("photon-number series failed to converge")
+            raise NumericError("photon-number series failed to converge")
         n_max = min(int(1.5 * n_max), limit)
 
     scores = {}

@@ -133,16 +133,36 @@ def test_07_observed_information_equals_scaled_expected_information(theta_a):
     assert time.perf_counter() - t0 < 60.0
 
 
-def test_08_fits_agree_across_amplitude_and_intensity_parametrizations(theta_a):
+# X8's four twin-beam pairs (eta1, eta2, r) from the paper's abstract
+X8_PAIRS = (
+    (0.39202, 0.38206, 1.3000),
+    (0.30706, 0.30441, 1.3238),
+    (0.36937, 0.37229, 1.2666),
+    (0.28730, 0.28621, 1.3425),
+)
+
+
+@pytest.mark.parametrize("pair", X8_PAIRS, ids=lambda pair: "-".join(map(str, pair)))
+def test_08_headline_study_reaches_classical_bound_within_two_of_qcrb(theta_a, pair):
     t0 = time.perf_counter()
-    hist = sample_shots(theta_a, 10**5, 16, seed=42)
-    free = ("eta1", "eta2", "r")
-    by_eta = fit(hist, theta_a, free=free, n_starts=1, seed=0, parametrization="eta")
-    by_q = fit(hist, theta_a, free=free, n_starts=1, seed=0, parametrization="q")
-    assert by_eta.converged and by_q.converged
-    assert abs(by_eta.theta_hat.eta1 - by_q.theta_hat.eta1) < 1e-4
-    assert abs(by_eta.theta_hat.eta2 - by_q.theta_hat.eta2) < 1e-4
-    assert time.perf_counter() - t0 < 300.0
+    # the abstract gives no dark-count rates: every pair assumes point A's nu1, nu2
+    theta = theta_a.replace(eta1=pair[0], eta2=pair[1], r=pair[2])
+    shots, trials = 10**6, 1000
+    cutoff = default_cutoff(theta)
+    estimates = np.empty((trials, 5))
+    for trial in range(trials):
+        hist = sample_shots(theta, shots, cutoff, seed=2022, stream=trial)
+        result = fit(hist, theta, n_starts=1)
+        assert result.converged
+        estimates[trial] = result.theta_hat.values()
+    # per-shot variance bounds: classical over all five parameters, quantum over three
+    classical = np.diag(np.linalg.inv(classical_fim(theta).entries))
+    quantum = np.diag(qfim_inverse_analytic(*pair))
+    spread = estimates.std(axis=0, ddof=1) / np.sqrt(classical / shots)
+    assert np.all((0.9 <= spread) & (spread <= 1.1))
+    ratio = np.sqrt(classical[:3] / quantum)
+    assert np.all((1.9 <= ratio) & (ratio <= 2.3))
+    assert time.perf_counter() - t0 < 600.0
 
 
 def test_09_crossover_transmission_rises_with_squeezing():

@@ -272,6 +272,19 @@ def test_fisher_matches_library(capsys, theta_a):
     assert doc["condition_number"] > 1.0
 
 
+def test_fisher_uncertifiable_series_exits_3(capsys):
+    code = main(
+        [
+            "fisher", "--eta1", "0.01", "--eta2", "0.01", "--r", "6",
+            "--cutoff", "4", "--params", "eta1,eta2",
+        ]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numeric failure: photon-number series failed to converge" in err
+    assert "Traceback" not in err
+
+
 def test_crossover_writes_curve_and_summary(tmp_path, capsys):
     out = tmp_path / "curve.csv"
     code = main(["crossover", "--r", "0.25", "--rays", "9", "--out", str(out)])
@@ -331,7 +344,7 @@ def test_ingest_reads_shot_lists(tmp_path, capsys):
     src.write_text("m,n\n" + "0,0\n" * 60 + "1,1\n" * 25 + "0,1\n" * 15)
     params = tmp_path / "theta.json"
     write_params_json(params, ParamSet(eta1=0.5, eta2=0.5, r=0.5))
-    code = main(["relerr", "--input", str(src), "--ingest", "--params-json", str(params)])
+    code = main(["relerr", "--input", str(src), "--params-json", str(params)])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["rms"] > 0.0
@@ -342,7 +355,7 @@ def test_out_of_range_inputs_exit_2(tmp_path, capsys):
     shots.write_text("m,n\n0,1\n99999999999999999999,1\n")
     hist = tmp_path / "bighist.csv"
     hist.write_text("m,n,count\n0,0,99999999999999999999\n")
-    assert main(["fit", "--ingest", str(shots), "--starts", "1"]) == 2
+    assert main(["fit", str(shots), "--starts", "1"]) == 2
     assert "big.csv:3: value out of range" in capsys.readouterr().err
     assert main(["fit", str(hist), "--starts", "1"]) == 2
     assert "bighist.csv:2: value out of range" in capsys.readouterr().err
@@ -368,7 +381,7 @@ def test_shot_list_grid_too_large_exits_2(tmp_path, record):
         "import resource, sys\n"
         f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
         "from twinloss.cli import main\n"
-        f"sys.exit(main(['fit', '--ingest', {str(shots)!r}, '--starts', '1']))\n"
+        f"sys.exit(main(['fit', {str(shots)!r}, '--starts', '1']))\n"
     )
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     proc = subprocess.run(

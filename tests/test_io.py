@@ -9,7 +9,9 @@ from conftest import parse_shot_list
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twinloss import io
 from twinloss.io import (
+    read_counts,
     read_histogram_csv,
     read_params_json,
     read_shot_list,
@@ -134,6 +136,27 @@ def test_read_shot_list_rejects_malformed(tmp_path, text):
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with pytest.raises(ValueError, match=SHOT_LIST_MESSAGES.get(text)):
         read_shot_list(path)
+
+
+@pytest.mark.parametrize(
+    "text, reader",
+    [
+        ("m,n,count\n0,0,3\n", "read_histogram_csv"),
+        ("m,n\n0,1\n", "read_shot_list"),
+        ("\n \n0,1\n2,0\n", "read_shot_list"),
+        ("m,\udcffn\n0,1\n", "read_shot_list"),
+        ("0,1,2\n", "read_histogram_csv"),
+        ("5\n", "read_histogram_csv"),
+        ("\n\n", "read_histogram_csv"),
+        ("", "read_histogram_csv"),
+    ],
+)
+def test_read_counts_picks_reader_by_first_non_blank_line(tmp_path, monkeypatch, text, reader):
+    for name in ("read_histogram_csv", "read_shot_list"):
+        monkeypatch.setattr(io, name, lambda path, name=name: name)
+    path = tmp_path / "counts.csv"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    assert read_counts(path) == reader
 
 
 def test_read_histogram_csv_rejects_value_beyond_int64(tmp_path):

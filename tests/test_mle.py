@@ -9,6 +9,7 @@ import pytest
 from twinloss import (
     BOOTSTRAP_MODES,
     Histogram,
+    NumericError,
     ParamSet,
     bootstrap,
     classical_fim,
@@ -142,8 +143,13 @@ def test_fit_validation(theta_a):
         fit(hist, theta_a, free=())
     with pytest.raises(ValueError):
         fit(hist, theta_a, n_starts=0)
-    with pytest.raises(ValueError):
-        fit(hist, theta_a, parametrization="log")
+
+
+def test_fit_raises_numeric_error_when_every_start_fails():
+    # the loss series at the start cannot be certified, so no start gets a model
+    hist = Histogram(counts=np.ones((5, 5)))
+    with pytest.raises(NumericError, match="every start"):
+        fit(hist, ParamSet(eta1=0.01, eta2=0.01, r=6.0), free=("eta1", "eta2"), n_starts=1)
 
 
 def test_fit_rejects_negative_seed(theta_a):

@@ -9,13 +9,17 @@ from scipy.stats import binom, poisson
 
 from twinloss import (
     PARAM_NAMES,
+    Histogram,
     JointPND,
     NumericError,
     ParamSet,
     apply_dark_counts,
+    classical_fim,
     default_cutoff,
+    fit,
     lossy_tmsv_pnd,
     model_pnd,
+    observed_fim,
     qfim_inverse_analytic,
     qfim_lowloss_tmsv,
 )
@@ -190,6 +194,31 @@ def test_scores_follow_wrt_and_reject_unknown_names(theta_a):
         model_pnd(theta_a, 6, wrt=("phi",))
     with pytest.raises(ValueError):
         lossy_tmsv_pnd(0.5, 0.5, 1.0, 6, wrt=("nu1",))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda theta, names: model_pnd(theta, 4, wrt=names),
+        lambda theta, names: classical_fim(theta, params=names, cutoff=4),
+        lambda theta, names: observed_fim(np.ones((5, 5)), theta, params=names),
+        lambda theta, names: fit(Histogram(counts=np.ones((5, 5))), theta, free=names),
+    ],
+    ids=["model_pnd", "classical_fim", "observed_fim", "fit"],
+)
+def test_repeated_parameter_names_rejected(theta_a, call):
+    with pytest.raises(ValueError, match="repeat"):
+        call(theta_a, ("eta1", "r", "eta1"))
+
+
+@pytest.mark.parametrize(
+    "eta, r",
+    # rho rounds to 1, and rho = 0.99978 does not certify within 100 000 terms
+    [(1e-9, 20.0), (0.01, 6.0)],
+)
+def test_uncertifiable_series_raises_numeric_error(eta, r):
+    with pytest.raises(NumericError, match="failed to converge"):
+        lossy_tmsv_pnd(eta, eta, r, 4)
 
 
 def test_vacuum_scores_in_transmission_vanish():
