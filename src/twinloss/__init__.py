@@ -8,7 +8,6 @@ maximum-likelihood fitting, and seeded simulation.
 from .fisher import (
     CrossoverCurve,
     FisherMatrix,
-    LowLossValidityWarning,
     NumericError,
     classical_fim,
     crossover_curve,
@@ -16,7 +15,6 @@ from .fisher import (
     qfim_coherent,
     qfim_fock,
     qfim_inverse_analytic,
-    qfim_lowloss_tmsv,
     qfim_tmsv,
     reparametrize_fim,
     sensitivity,
@@ -61,14 +59,12 @@ __all__ = [
     "default_cutoff",
     "FisherMatrix",
     "NumericError",
-    "LowLossValidityWarning",
     "classical_fim",
     "observed_fim",
     "reparametrize_fim",
     "qfim_coherent",
     "qfim_fock",
     "qfim_inverse_analytic",
-    "qfim_lowloss_tmsv",
     "qfim_tmsv",
     "total_variance",
     "sensitivity",

@@ -339,11 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crossover", help="equal-sensitivity frontier vs a coherent probe")
     p.add_argument("--r", type=float, required=True)
-    p.add_argument(
-        "--source",
-        choices=("pnrd-fim", "three-param-qfim", "lowloss-qfim"),
-        default="pnrd-fim",
-    )
+    p.add_argument("--source", choices=("pnrd-fim", "three-param-qfim"), default="pnrd-fim")
     p.add_argument("--rays", type=int, default=17, help="rays through the (eta1, eta2) square")
     p.add_argument("--out", required=True, help="curve CSV path")
     p.set_defaults(func=cmd_crossover)

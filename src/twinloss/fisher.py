@@ -2,16 +2,15 @@
 
 Classical and observed information matrices are built from the exact scores
 of the count model, from one evaluation each; quantum Fisher matrices cover
-the twin beam (exactly, from the closed-form three-parameter bound, and in
-the low-loss approximation), coherent probes and Fock probes.  Sensitivity
-is the reciprocal of the total (eta1, eta2) variance, and crossover curves
-locate where the twin beam and an equal-energy coherent probe break even.
+the twin beam (exactly, from the closed-form three-parameter bound),
+coherent probes and Fock probes.  Sensitivity is the reciprocal of the total
+(eta1, eta2) variance, and crossover curves locate where the twin beam and
+an equal-energy coherent probe break even.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import numpy as np
 from scipy.optimize import brentq
@@ -28,10 +27,6 @@ ETA_FLOOR = 0.02
 ETA_CEILING = 1.0 - 1e-6
 # eigenvalues below this fraction of the largest make a matrix singular
 RCOND = 1e-12
-
-
-class LowLossValidityWarning(UserWarning):
-    """The low-loss approximation was evaluated far from its validity regime."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,6 +62,8 @@ class FisherMatrix:
 
 def _safe_inverse(matrix: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric matrix, raising with the null direction if singular."""
+    if not np.isfinite(matrix).all():
+        raise NumericError("matrix has non-finite entries")
     eigvals, eigvecs = np.linalg.eigh(matrix)
     largest = float(np.abs(eigvals).max())
     if largest == 0.0 or float(np.abs(eigvals).min()) <= RCOND * largest:
@@ -191,38 +188,6 @@ def qfim_fock(m: float, n: float, eta1: float, eta2: float) -> FisherMatrix:
     )
 
 
-def qfim_lowloss_tmsv(eta1: float, eta2: float, r: float) -> np.ndarray:
-    """Low-loss approximation to the twin-beam quantum Fisher matrix over (eta1, eta2).
-
-    E [[1/(1 - eta1) - (3/2 + 5E), -4 - 3E], [-4 - 3E, 1/(1 - eta2) - (3/2 + 5E)]]
-    with E = 2 sinh(r)^2, valid to first order in (1 - eta_i).  It is returned
-    as a plain 2x2 array, not a FisherMatrix: far from eta_i ~ 1 the expansion
-    can be indefinite, so it is not always an information matrix, and callers
-    check its eigenvalues before treating it as one.  Evaluating at eta_i < 0.9
-    emits a LowLossValidityWarning.
-    """
-    _check_domain(eta1=eta1, eta2=eta2, r=r)
-    if eta1 == 1.0 or eta2 == 1.0 or r == 0.0:
-        raise ValueError(
-            f"the expansion needs eta < 1 and r > 0, got eta1={eta1}, eta2={eta2}, r={r}"
-        )
-    if min(eta1, eta2) < 0.9:
-        warnings.warn(
-            "low-loss expansion evaluated at eta < 0.9; first-order accuracy is lost",
-            LowLossValidityWarning,
-            stacklevel=2,
-        )
-    energy = 2.0 * np.sinh(r) ** 2
-    diag_shift = 1.5 + 5.0 * energy
-    off = -4.0 - 3.0 * energy
-    return energy * np.array(
-        [
-            [1.0 / (1.0 - eta1) - diag_shift, off],
-            [off, 1.0 / (1.0 - eta2) - diag_shift],
-        ]
-    )
-
-
 def qfim_inverse_analytic(eta1: float, eta2: float, r: float) -> np.ndarray:
     """Closed-form inverse of the three-parameter twin-beam quantum Fisher matrix.
 
@@ -255,14 +220,10 @@ def qfim_inverse_analytic(eta1: float, eta2: float, r: float) -> np.ndarray:
 def qfim_tmsv(eta1: float, eta2: float, r: float) -> FisherMatrix:
     """Exact three-parameter twin-beam quantum Fisher matrix over (eta1, eta2, r).
 
-    The inverse of the closed-form bound ``qfim_inverse_analytic``; an ill
-    conditioned bound (condition number above 1 / RCOND) raises NumericError.
+    The inverse of the closed-form bound ``qfim_inverse_analytic``; a
+    singular bound raises NumericError through ``_safe_inverse``.
     """
-    bound = qfim_inverse_analytic(eta1, eta2, r)
-    cond = float(np.linalg.cond(bound))
-    if not np.isfinite(cond) or cond > 1.0 / RCOND:
-        raise NumericError(f"variance bound is ill conditioned (condition number {cond:.3g})")
-    qfim = np.linalg.inv(bound)
+    qfim = _safe_inverse(qfim_inverse_analytic(eta1, eta2, r))
     return FisherMatrix(labels=("eta1", "eta2", "r"), entries=0.5 * (qfim + qfim.T))
 
 
@@ -302,32 +263,18 @@ class CrossoverCurve:
         return float(self.points[best].mean())
 
 
-def _pnrd_sensitivity(eta1: float, eta2: float, r: float) -> float:
-    fim = classical_fim(ParamSet(eta1=eta1, eta2=eta2, r=r), params=ETA_LABELS)
-    try:
-        return sensitivity(fim)
-    except NumericError:
-        return -np.inf
-
-
 def _sensitivity_for_source(source: str, eta1: float, eta2: float, r: float) -> float:
     if source == "pnrd-fim":
-        return _pnrd_sensitivity(eta1, eta2, r)
+        fim = classical_fim(ParamSet(eta1=eta1, eta2=eta2, r=r), params=ETA_LABELS)
+        try:
+            return sensitivity(fim)
+        except NumericError:
+            return -np.inf
     if source == "three-param-qfim":
         bounds = qfim_inverse_analytic(eta1, eta2, r)
         return 1.0 / float(bounds[0, 0] + bounds[1, 1])
-    if source == "lowloss-qfim":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LowLossValidityWarning)
-            entries = qfim_lowloss_tmsv(eta1, eta2, r)
-        if np.linalg.eigvalsh(entries).min() <= 0.0:
-            # outside its validity regime the expansion stops being an
-            # information matrix; treat as no quantum advantage
-            return -np.inf
-        return sensitivity(FisherMatrix(labels=ETA_LABELS, entries=entries))
     raise ValueError(
-        f"unknown information source {source!r}; choose pnrd-fim, "
-        "three-param-qfim, or lowloss-qfim"
+        f"unknown information source {source!r}; choose pnrd-fim or three-param-qfim"
     )
 
 
@@ -342,15 +289,14 @@ def crossover_curve(
     giving sensitivity E.  Along each ray from the origin through the (eta1,
     eta2) square, amplitudes ETA_FLOOR to ETA_CEILING, Brent's method finds
     the root of the sensitivity difference; rays with no sign change produce
-    no point.  Where the information is singular or indefinite the
-    difference is -inf; Brent's method keeps the bracket by sign and still
-    converges.
+    no point.  Where the counting information is singular the difference is
+    -inf; Brent's method keeps the bracket by sign and still converges.
 
     Args:
         r: squeezing parameter, > 0.
         source: twin-beam information source, one of pnrd-fim (exact counting
-            statistics over eta1, eta2 at known r), three-param-qfim (quantum
-            bound with r as nuisance), lowloss-qfim (first-order expansion).
+            statistics over eta1, eta2 at known r) or three-param-qfim
+            (quantum bound with r as nuisance).
         n_rays: number of rays; 1 keeps only the diagonal.
     """
     if r <= 0.0:

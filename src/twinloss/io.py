@@ -144,20 +144,25 @@ def read_histogram_csv(path) -> Histogram:
 def read_shot_list(path) -> Histogram:
     """Bin a raw shot record with one ``m,n`` pair per line.
 
-    A leading line of two fields that are not both integers is a header;
-    the grid spans the largest observed pair, and one too large to allocate
-    raises ValueError.  Records numpy's C parser refuses are re-read by
-    ``_int_rows``, which accepts odd but valid lines and names ``path:line``.
+    A first non-blank line of two fields that are not both integers is a
+    header; the grid spans the largest observed pair, and one too large to
+    allocate raises ValueError.  Records numpy's C parser refuses are re-read
+    by ``_int_rows``, which accepts odd but valid lines and names ``path:line``.
     """
-    # no generator here (one cost ~9 MB peak RSS over many reads); a
-    # bad byte on line 1 fails the C parser, and the fallback names it
+    # no generator here (one cost ~9 MB peak RSS over many reads); a bad
+    # byte on the first line fails the C parser, and the fallback names it
+    lineno, line = 0, ""
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        fields = handle.readline().split(",")
+        for lineno, line in enumerate(handle, start=1):
+            if line.strip():
+                break
+    fields = line.split(",")
     try:
         list(map(int, fields))
         header = 0
     except ValueError:
-        header = int(len(fields) == 2)
+        # skip through the header's physical line, blank lines before it included
+        header = lineno if len(fields) == 2 else 0
     table = None
     try:
         # promoted warnings catch the empty records and float-to-int

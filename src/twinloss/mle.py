@@ -119,6 +119,9 @@ class MleResult:
     ``iterations`` (scoring steps) and ``message`` (why it stopped) describe
     the winning start; ``evaluations`` counts count-model evaluations over
     all starts, each of which ends at one of ``start_objectives``.
+    ``converged`` holds only when scoring met its stop rule at a finite
+    objective and the covariance exists (it is None where the observed
+    information is singular).
     """
 
     theta_hat: ParamSet
@@ -367,7 +370,7 @@ def fit(
         theta_hat=theta_hat,
         objective=float(best.fun),
         iterations=int(best.nit),
-        converged=bool(best.success) and np.isfinite(best.fun),
+        converged=bool(best.success) and np.isfinite(best.fun) and covariance is not None,
         covariance=covariance,
         rms_error=_rms_residual(hist, best.model.probs),
         free=free_t,

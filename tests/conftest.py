@@ -186,19 +186,21 @@ def parse_shot_list(text):
 
     Returns ``(pairs, None)`` for an accepted record (``pairs`` empty when it
     holds no shots) and ``(None, lineno)`` for the first rejected line.  Blank
-    lines are skipped and a non-integer pair on line 1 is a header.
+    lines are skipped and a non-integer pair on the first non-blank line is a
+    header.
     """
-    pairs = []
+    pairs, first = [], None
     for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
         fields = line.strip().split(",")
         if fields == [""]:
             continue
+        first = first or lineno
         if len(fields) != 2:
             return None, lineno
         try:
             m, n = int(fields[0]), int(fields[1])
         except ValueError:
-            if lineno == 1:
+            if lineno == first:
                 continue
             return None, lineno
         if not (0 <= m < 2**63 and 0 <= n < 2**63):
@@ -207,8 +209,27 @@ def parse_shot_list(text):
     return pairs, None
 
 
+def lowloss_qfim(eta1, eta2, r):
+    """Low-loss expansion of the twin-beam quantum Fisher matrix over (eta1, eta2).
+
+    E [[1/(1 - eta1) - (3/2 + 5E), -4 - 3E], [-4 - 3E, 1/(1 - eta2) - (3/2 + 5E)]]
+    with E = 2 sinh(r)^2, valid to first order in (1 - eta_i); an oracle for
+    the (eta1, eta2) block of the exact ``qfim_tmsv``.  Far from eta_i ~ 1 it
+    can be indefinite, so it is a plain 2x2 array.
+    """
+    energy = 2.0 * np.sinh(r) ** 2
+    diag_shift = 1.5 + 5.0 * energy
+    off = -4.0 - 3.0 * energy
+    return energy * np.array(
+        [
+            [1.0 / (1.0 - eta1) - diag_shift, off],
+            [off, 1.0 / (1.0 - eta2) - diag_shift],
+        ]
+    )
+
+
 def lowloss_three_outcome(eta1, eta2, r):
-    """Oracle of ``qfim_lowloss_tmsv``: leading mixture weights in the low-loss regime.
+    """Oracle of ``lowloss_qfim``: leading mixture weights in the low-loss regime.
 
     Returns the probabilities of losing no photon, one photon from arm a, and
     one photon from arm b.  These three weights carry all parameter

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import mixture_pnd
+from conftest import lowloss_qfim, mixture_pnd
 
 from twinloss import (
     ParamSet,
@@ -21,7 +21,6 @@ from twinloss import (
     observed_fim,
     qfim_coherent,
     qfim_inverse_analytic,
-    qfim_lowloss_tmsv,
     qfim_tmsv,
     sample_shots,
     total_variance,
@@ -179,7 +178,7 @@ def test_09_crossover_transmission_rises_with_squeezing():
 def test_10_lowloss_bound_matches_transmission_asymptote():
     t0 = time.perf_counter()
     energy = 2.0 * np.sinh(0.5) ** 2
-    fim = qfim_lowloss_tmsv(0.999, 0.999, 0.5)
+    fim = lowloss_qfim(0.999, 0.999, 0.5)
     ratios = np.diag(fim) / (energy / (1.0 - 0.999))
     assert np.abs(ratios - 1.0).max() < 0.02
     assert time.perf_counter() - t0 < 1.0

@@ -350,6 +350,15 @@ def test_ingest_reads_shot_lists(tmp_path, capsys):
     assert doc["rms"] > 0.0
 
 
+def test_ingest_takes_header_after_blank_lines(tmp_path, capsys):
+    src = tmp_path / "shots.csv"
+    src.write_text("\nm,n\n0,1\n2,0\n")
+    params = tmp_path / "theta.json"
+    write_params_json(params, ParamSet(eta1=0.5, eta2=0.5, r=0.5))
+    assert main(["relerr", "--input", str(src), "--params-json", str(params)]) == 0
+    assert json.loads(capsys.readouterr().out)["rms"] > 0.0
+
+
 def test_out_of_range_inputs_exit_2(tmp_path, capsys):
     shots = tmp_path / "big.csv"
     shots.write_text("m,n\n0,1\n99999999999999999999,1\n")

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-from conftest import fd_scores, lowloss_three_outcome
+from conftest import fd_scores, lowloss_qfim, lowloss_three_outcome
 
 from twinloss import (
     PARAM_NAMES,
     FisherMatrix,
-    LowLossValidityWarning,
     NumericError,
     ParamSet,
     classical_fim,
@@ -15,7 +14,6 @@ from twinloss import (
     qfim_coherent,
     qfim_fock,
     qfim_inverse_analytic,
-    qfim_lowloss_tmsv,
     qfim_tmsv,
     reparametrize_fim,
     sensitivity,
@@ -207,20 +205,11 @@ def test_fock_zero_photons_gives_singular_information():
 
 
 def test_lowloss_qfim_structure():
-    fim = qfim_lowloss_tmsv(0.99, 0.995, 0.5)
+    fim = lowloss_qfim(0.99, 0.995, 0.5)
     assert fim.shape == (2, 2)
     assert np.array_equal(fim, fim.T)
     energy = 2.0 * np.sinh(0.5) ** 2
     assert fim[0, 1] == pytest.approx(energy * (-4.0 - 3.0 * energy), rel=1e-12)
-
-
-def test_lowloss_qfim_warns_far_from_validity():
-    with pytest.warns(LowLossValidityWarning):
-        qfim_lowloss_tmsv(0.5, 0.99, 0.5)
-    with pytest.raises(ValueError):
-        qfim_lowloss_tmsv(1.0, 0.99, 0.5)
-    with pytest.raises(ValueError):
-        qfim_lowloss_tmsv(0.99, 0.99, 0.0)
 
 
 @pytest.mark.parametrize("eta,budget", [(0.99, 0.1), (0.999, 0.01)])
@@ -240,14 +229,31 @@ def test_lowloss_qfim_matches_three_outcome_information(eta, budget):
     triple = np.array(
         [[np.sum(grads[i] * grads[j] / p) for j in range(2)] for i in range(2)]
     )
-    fim = qfim_lowloss_tmsv(eta, eta, r)
+    fim = lowloss_qfim(eta, eta, r)
     assert np.abs(fim - triple).max() < budget * np.abs(triple).max()
+
+
+@pytest.mark.parametrize("r", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("eta", [0.99, 0.999, 0.9999])
+def test_exact_twin_beam_qfim_matches_lowloss_expansion(eta, r):
+    # the expansion is first order in 1 - eta, so the relative gap is O(1 - eta)
+    block = qfim_tmsv(eta, eta, r).entries[:2, :2]
+    gap = np.abs(lowloss_qfim(eta, eta, r) - block).max() / np.abs(block).max()
+    assert gap <= 15.0 * (1.0 - eta)
 
 
 def test_exact_twin_beam_qfim_consistent_with_bound(theta_a):
     fim = qfim_tmsv(theta_a.eta1, theta_a.eta2, theta_a.r)
     bounds = qfim_inverse_analytic(theta_a.eta1, theta_a.eta2, theta_a.r)
     assert total_variance(fim) == pytest.approx(bounds[0, 0] + bounds[1, 1], rel=1e-9)
+
+
+def test_exact_twin_beam_qfim_rejects_singular_bound():
+    with pytest.raises(NumericError, match="direction"):
+        qfim_tmsv(0.5, 0.5, 1e-9)
+    # at tiny amplitudes the bound overflows
+    with pytest.raises(NumericError, match="non-finite"):
+        qfim_tmsv(1e-80, 1e-80, 1.0)
 
 
 def test_total_variance_grows_with_nuisance_parameters(theta_a):
@@ -308,9 +314,7 @@ def test_crossover_points_sit_on_the_frontier():
         assert sensitivity(fim) == pytest.approx(energy, rel=1e-5)
 
 
-@pytest.mark.parametrize(
-    "r, source", [(0.25, "pnrd-fim"), (0.5, "three-param-qfim"), (0.05, "lowloss-qfim")]
-)
+@pytest.mark.parametrize("r, source", [(0.25, "pnrd-fim"), (0.5, "three-param-qfim")])
 def test_crossover_roots_are_precise(r, source):
     energy = 2.0 * np.sinh(r) ** 2
     curve = crossover_curve(r, source=source, n_rays=9)
@@ -327,11 +331,6 @@ def test_crossover_curve_is_swap_symmetric():
     assert np.abs(curve.points - mirrored).max() < 1e-6
 
 
-def test_crossover_lowloss_source():
-    curve = crossover_curve(1.0, source="lowloss-qfim", n_rays=1)
-    assert curve.diagonal_point() == pytest.approx(0.9650816, abs=1e-4)
-
-
 def test_crossover_quantum_bound_source():
     curve = crossover_curve(0.5, source="three-param-qfim", n_rays=1)
     assert curve.diagonal_point() == pytest.approx(0.72800589, abs=1e-4)
@@ -342,5 +341,7 @@ def test_crossover_validation():
         crossover_curve(0.0)
     with pytest.raises(ValueError):
         crossover_curve(0.5, source="other")
+    with pytest.raises(ValueError, match="unknown information source"):
+        crossover_curve(0.5, source="lowloss-qfim")
     with pytest.raises(ValueError):
         crossover_curve(0.5, n_rays=0)

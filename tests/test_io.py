@@ -159,6 +159,18 @@ def test_read_counts_picks_reader_by_first_non_blank_line(tmp_path, monkeypatch,
     assert read_counts(path) == reader
 
 
+def test_read_counts_takes_header_on_first_non_blank_line(tmp_path):
+    path = tmp_path / "shots.csv"
+    path.write_text("\nm,n\n0,1\n2,0\n")
+    expected = np.zeros((3, 2), np.int64)
+    expected[0, 1] = expected[2, 0] = 1
+    assert np.array_equal(read_counts(path).counts, expected)
+    # the line-by-line fallback skips the same lines
+    path.write_text("\n \nm,n\n0,1\n2,x\n")
+    with pytest.raises(ValueError, match=r"shots\.csv:5: non-integer field"):
+        read_counts(path)
+
+
 def test_read_histogram_csv_rejects_value_beyond_int64(tmp_path):
     path = tmp_path / "big.csv"
     path.write_text("m,n,count\n0,0,99999999999999999999\n")
@@ -204,13 +216,16 @@ def record_path(tmp_path_factory):
 
 @settings(max_examples=200)
 @given(
+    lead=st.integers(0, 2),
     header=st.booleans(),
     lines=st.lists(_LINES, max_size=6),
     newline=st.sampled_from(["\n", "\r\n"]),
     final=st.booleans(),
 )
-def test_read_shot_list_matches_line_oracle(record_path, header, lines, newline, final):
-    text = newline.join((["m,n"] if header else []) + lines) + (newline if final else "")
+def test_read_shot_list_matches_line_oracle(record_path, lead, header, lines, newline, final):
+    # ``lead`` blank lines put the header, if any, below line 1
+    text = newline * lead + newline.join((["m,n"] if header else []) + lines)
+    text += newline if final else ""
     record_path.write_bytes(text.encode("utf-8"))
     pairs, bad_line = parse_shot_list(text)
     if bad_line is not None:

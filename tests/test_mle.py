@@ -133,6 +133,7 @@ def test_fit_flags_singular_covariance():
         result = fit(Histogram(counts=counts), init, free=("eta1", "eta2"), n_starts=1)
     assert result.covariance is None
     assert result.condition_number is None
+    assert not result.converged
 
 
 def test_fit_validation(theta_a):

@@ -21,7 +21,6 @@ from twinloss import (
     model_pnd,
     observed_fim,
     qfim_inverse_analytic,
-    qfim_lowloss_tmsv,
 )
 
 
@@ -371,14 +370,12 @@ def test_out_of_domain_parameters_rejected(kwargs):
         lambda v: ParamSet(eta1=0.4, eta2=0.4, r=1.0, nu1=v),
         lambda v: lossy_tmsv_pnd(0.4, 0.4, v, 8),
         lambda v: qfim_inverse_analytic(0.5, 0.5, v),
-        lambda v: qfim_lowloss_tmsv(0.99, 0.99, v),
     ],
     ids=[
         "ParamSet-r",
         "ParamSet-nu1",
         "lossy_tmsv_pnd",
         "qfim_inverse_analytic",
-        "qfim_lowloss_tmsv",
     ],
 )
 def test_non_finite_parameters_rejected(call, bad):
