@@ -292,6 +292,12 @@ def crossover_curve(
     no point.  Where the counting information is singular the difference is
     -inf; Brent's method keeps the bracket by sign and still converges.
 
+    Both sources are symmetric under eta1 <-> eta2, so the rays past the
+    diagonal are not solved: each takes its mirror ray's point, swapped.
+    Points are in ray order.  The two end rays pass through the corners
+    (ETA_CEILING, ETA_FLOOR) and (ETA_FLOOR, ETA_CEILING) and yield no point,
+    so n_rays >= 2 rays give at most n_rays - 2 points.
+
     Args:
         r: squeezing parameter, > 0.
         source: twin-beam information source, one of pnrd-fim (exact counting
@@ -311,20 +317,24 @@ def crossover_curve(
         spread = np.arctan2(ETA_FLOOR, ETA_CEILING)
         angles = np.linspace(spread, np.pi / 2.0 - spread, n_rays)
 
-    points = []
-    for angle in angles:
+    def crossing(angle: float):
         direction = np.array([np.cos(angle), np.sin(angle)])
         s_max = ETA_CEILING / direction.max()
         s_min = ETA_FLOOR / direction.min()
         if s_min >= s_max:
-            continue
+            return None
 
         def gap(s: float) -> float:
             e1, e2 = s * direction
             return _sensitivity_for_source(source, e1, e2, r) - energy
 
         if gap(s_min) < 0.0 < gap(s_max):
-            points.append(brentq(gap, s_min, s_max) * direction)
+            return brentq(gap, s_min, s_max) * direction
+        return None
 
+    # chosen by index: the middle angle of an odd count can round past pi / 4
+    solved = [crossing(angle) for angle in angles[: (n_rays + 1) // 2]]
+    mirrored = [None if p is None else p[::-1] for p in reversed(solved[: n_rays // 2])]
+    points = [p for p in solved + mirrored if p is not None]
     points_arr = np.array(points) if points else np.empty((0, 2))
     return CrossoverCurve(r=r, source=source, points=points_arr)

@@ -168,12 +168,12 @@ def _normalize_cutoff(cutoff) -> tuple[int, int]:
     return pair
 
 
-def _log_loss_matrix(n_max: int, cutoff: int, eta: float) -> np.ndarray:
+def _log_loss_matrix(ns: np.ndarray, cutoff: int, eta: float) -> np.ndarray:
     """log B[N, k] = log C(N, k) q^k (1 - q)^(N - k) for q = eta^2, -inf where k > N.
 
-    (N - k) log(1 - q) is pinned to 0 at N = k, so B is the identity at eta = 1.
+    Rows are the pair numbers of the column ``ns``.  (N - k) log(1 - q) is
+    pinned to 0 at N = k, so B is the identity at eta = 1.
     """
-    ns = np.arange(n_max + 1)[:, None]
     ks = np.arange(cutoff + 1)[None, :]
     nk = np.maximum(ns - ks, 0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -182,9 +182,8 @@ def _log_loss_matrix(n_max: int, cutoff: int, eta: float) -> np.ndarray:
     return np.where(ns >= ks, log_b + survive, -np.inf)
 
 
-def _loss_score(n_max: int, cutoff: int, eta: float) -> np.ndarray:
+def _loss_score(ns: np.ndarray, cutoff: int, eta: float) -> np.ndarray:
     """d log B[N, k] / d eta = 2k / eta - 2 eta (N - k) / (1 - eta^2), for eta < 1."""
-    ns = np.arange(n_max + 1)[:, None]
     ks = np.arange(cutoff + 1)[None, :]
     return 2.0 * ks / eta - 2.0 * eta * (ns - ks) / (1.0 - eta**2)
 
@@ -205,7 +204,10 @@ def lossy_tmsv_pnd(
     geometric series t_N x / (1 - x) on its last term t_N, x being that
     ratio.  N_max starts from an estimate in rho and grows until that bound
     is at most ``tol`` times the bin's value in every bin; a series that
-    does not certify within 100 000 terms raises NumericError.
+    does not certify within 100 000 terms raises NumericError.  At that
+    limit the last row is first tested alone, against ``tol`` times 1, the
+    most any bin can hold; a row that fails cannot certify, so the call
+    raises without the full sum, and no output changes.
 
     Scores reuse the factors, with d log B / d eta = 2k / eta - 2 eta (N - k)
     / (1 - eta^2) and d log w / dr = 2N / (sinh r cosh r) - 2 tanh r.  A
@@ -250,19 +252,33 @@ def lossy_tmsv_pnd(
     with np.errstate(divide="ignore"):
         guess = top / (1.0 - np.sqrt(rho)) + np.log(tol) / np.log(rho)
     n_max = int(min(1.5 * max(guess, 0.0) + 2, limit))
-    while True:
-        ns = np.arange(n_max + 1)[:, None]
-        b1 = np.exp(_log_loss_matrix(n_max, ca, eta1))
-        wb2 = np.exp(ns * log_t2 - log_norm + _log_loss_matrix(n_max, cb, eta2))
-        probs = b1.T @ wb2
 
+    def factors(ns):
+        """B1 and diag(w) B2 on the rows of the pair-number column ``ns``."""
+        b1 = np.exp(_log_loss_matrix(ns, ca, eta1))
+        return b1, np.exp(ns * log_t2 - log_norm + _log_loss_matrix(ns, cb, eta2))
+
+    def certified(b1_last, wb2_last, probs) -> bool:
+        """Whether each bin's remainder after row n_max is at most tol times ``probs``."""
         last = n_max + 1
         ratio = rho * last**2 / np.outer(last - np.arange(ca + 1), last - np.arange(cb + 1))
         with np.errstate(divide="ignore", invalid="ignore"):
-            bound = np.outer(b1[-1], wb2[-1]) * ratio / (1.0 - ratio)
+            bound = np.outer(b1_last, wb2_last) * ratio / (1.0 - ratio)
             if wrt:
                 bound = bound * (1.0 + 1.0 / (n_max * (1.0 - ratio)))
-        if np.all((ratio < 1.0) & (bound <= tol * probs)):
+        return bool(np.all((ratio < 1.0) & (bound <= tol * probs)))
+
+    while True:
+        if n_max == limit:
+            # no bin exceeds probability 1 (up to roundoff), so a last row whose
+            # bound exceeds tol cannot certify: decide that before the full sum
+            b1_last, wb2_last = factors(np.array([[n_max]]))
+            if not certified(b1_last[0], wb2_last[0], 1.0 + 1e-12):
+                raise NumericError("photon-number series failed to converge")
+        ns = np.arange(n_max + 1)[:, None]
+        b1, wb2 = factors(ns)
+        probs = b1.T @ wb2
+        if certified(b1[-1], wb2[-1], probs):
             break
         if n_max >= limit:
             raise NumericError("photon-number series failed to converge")
@@ -271,9 +287,9 @@ def lossy_tmsv_pnd(
     scores = {}
     for name in wrt:
         if name == "eta1":
-            scores[name] = (b1 * _loss_score(n_max, ca, eta1)).T @ wb2
+            scores[name] = (b1 * _loss_score(ns, ca, eta1)).T @ wb2
         elif name == "eta2":
-            scores[name] = b1.T @ (wb2 * _loss_score(n_max, cb, eta2))
+            scores[name] = b1.T @ (wb2 * _loss_score(ns, cb, eta2))
         else:
             d_log_w = 2.0 * ns / (np.sinh(r) * np.cosh(r)) - 2.0 * np.tanh(r)
             scores[name] = b1.T @ (wb2 * d_log_w)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from scipy.optimize import brentq
 from scipy.signal import convolve2d
 from scipy.special import gammaln
 from scipy.stats import binom, poisson
 
 from twinloss import (
-    PARAM_NAMES, NumericError, ParamSet, apply_dark_counts, default_cutoff, lossy_tmsv_pnd
+    PARAM_NAMES, NumericError, ParamSet, apply_dark_counts, default_cutoff, fisher, lossy_tmsv_pnd
 )
 
 settings.register_profile(
@@ -207,6 +208,32 @@ def parse_shot_list(text):
             return None, lineno
         pairs.append((m, n))
     return pairs, None
+
+
+def crossover_full_solve(r, source, n_rays):
+    """Oracle of ``crossover_curve``: Brent's method on every ray, none mirrored.
+
+    Returns, in ray order, the crossing of each ray along which the
+    sensitivity difference to the coherent probe changes sign.
+    """
+    energy = 2.0 * np.sinh(r) ** 2
+    if n_rays == 1:
+        angles = [np.pi / 4.0]
+    else:
+        spread = np.arctan2(fisher.ETA_FLOOR, fisher.ETA_CEILING)
+        angles = np.linspace(spread, np.pi / 2.0 - spread, n_rays)
+    points = []
+    for angle in angles:
+        direction = np.array([np.cos(angle), np.sin(angle)])
+        s_min = fisher.ETA_FLOOR / direction.min()
+        s_max = fisher.ETA_CEILING / direction.max()
+
+        def gap(s):
+            return fisher._sensitivity_for_source(source, *(s * direction), r) - energy
+
+        if s_min < s_max and gap(s_min) < 0.0 < gap(s_max):
+            points.append(brentq(gap, s_min, s_max) * direction)
+    return np.array(points).reshape(-1, 2)
 
 
 def lowloss_qfim(eta1, eta2, r):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import fd_scores, lowloss_qfim, lowloss_three_outcome
+from conftest import crossover_full_solve, fd_scores, lowloss_qfim, lowloss_three_outcome
 
 from twinloss import (
     PARAM_NAMES,
@@ -329,6 +329,22 @@ def test_crossover_curve_is_swap_symmetric():
     curve = crossover_curve(0.25, n_rays=9)
     mirrored = curve.points[::-1, ::-1]
     assert np.abs(curve.points - mirrored).max() < 1e-6
+
+
+@pytest.mark.parametrize("source", ["pnrd-fim", "three-param-qfim"])
+@pytest.mark.parametrize("n_rays", [1, 2, 8, 9, 17])
+def test_mirrored_crossover_matches_full_solve(source, n_rays):
+    for r in (1 / 16, 1 / 4, 1 / 2, 1.0):
+        curve = crossover_curve(r, source=source, n_rays=n_rays)
+        full = crossover_full_solve(r, source, n_rays)
+        assert curve.points.shape == full.shape
+        if full.size:
+            assert np.abs(curve.points - full).max() <= 1e-12
+        # the end rays pass through the corners of the square and yield no point
+        assert curve.points.shape[0] <= max(n_rays - 2, 1)
+        if n_rays % 2:
+            # the middle ray is solved, not mirrored, and lies on the diagonal
+            assert curve.diagonal_point() == fisher.CrossoverCurve(r, source, full).diagonal_point()
 
 
 def test_crossover_quantum_bound_source():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -218,6 +220,23 @@ def test_repeated_parameter_names_rejected(theta_a, call):
 def test_uncertifiable_series_raises_numeric_error(eta, r):
     with pytest.raises(NumericError, match="failed to converge"):
         lossy_tmsv_pnd(eta, eta, r, 4)
+
+
+def test_uncertifiable_series_fails_before_the_full_sum():
+    # the default cutoff is (1081, 1814): a full sum at the 100 000-term limit
+    # would hold arrays of 100 001 x 1815 entries
+    theta = ParamSet(eta1=0.03, eta2=0.039, r=6.0)
+    start = time.perf_counter()
+    with pytest.raises(NumericError, match="failed to converge"):
+        lossy_tmsv_pnd(0.03, 0.039, 6.0, default_cutoff(theta), wrt=("eta1", "r"))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_series_certifying_at_the_term_limit_still_evaluates():
+    # the first guess is the 100 000-term limit, where the last row is tested alone first
+    pnd = lossy_tmsv_pnd(0.017, 0.017, 6.0, 4, wrt=("eta1", "r"))
+    assert pnd.terms == 100_001
+    assert np.isfinite(pnd.probs).all() and pnd.probs.min() > 0.0
 
 
 def test_vacuum_scores_in_transmission_vanish():
