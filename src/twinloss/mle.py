@@ -345,7 +345,7 @@ def fit(
         try:
             pnd = model_pnd(theta, hist.cutoff, wrt=free_t)
         except NumericError:
-            # a trial step hit a domain boundary or an uncertifiable loss series
+            # a trial step hit a domain boundary or a point the model cannot represent
             return np.inf, None, None, None
         return (*_conditioned_kl(hist, pnd, slopes), pnd)
 

@@ -4,13 +4,14 @@ The probe is a two-mode squeezed vacuum with squeezing parameter ``r``; each
 arm passes through an independent pure-loss channel with transmission
 amplitude ``eta_i`` (power transmission ``eta_i**2``) and each detector adds
 Poissonian spurious counts with mean ``nu_i`` per shot.  The joint count
-distribution is evaluated exactly on a finite grid with a certified bound on
-the truncated series, optionally with its exact derivatives (scores).
+distribution is evaluated on a finite grid as an exact finite sum, with error
+at roundoff, optionally with its exact derivatives (scores).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 
 import numpy as np
@@ -125,14 +126,12 @@ class JointPND:
 
     ``probs[m, n]`` is the probability of counting m photons on detector a and
     n on detector b; ``tail_mass`` is the probability of any outcome beyond
-    the grid; ``terms`` is the number of pair-number terms summed to reach
-    the certified truncation bound (0 when no sum was needed).  ``scores``
-    maps each differentiated parameter name to the grid d probs / d theta.
+    the grid.  ``scores`` maps each differentiated parameter name to the
+    grid d probs / d theta.
     """
 
     probs: np.ndarray
     tail_mass: float
-    terms: int = 0
     scores: dict = dataclasses.field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
@@ -168,70 +167,47 @@ def _normalize_cutoff(cutoff) -> tuple[int, int]:
     return pair
 
 
-def _log_loss_matrix(ns: np.ndarray, cutoff: int, eta: float) -> np.ndarray:
-    """log B[N, k] = log C(N, k) q^k (1 - q)^(N - k) for q = eta^2, -inf where k > N.
-
-    Rows are the pair numbers of the column ``ns``.  (N - k) log(1 - q) is
-    pinned to 0 at N = k, so B is the identity at eta = 1.
-    """
-    ks = np.arange(cutoff + 1)[None, :]
-    nk = np.maximum(ns - ks, 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        survive = np.where(nk == 0, 0.0, nk * np.log1p(-(eta**2)))
-    log_b = _log_factorial(ns) - _log_factorial(ks) - _log_factorial(nk) + 2.0 * ks * np.log(eta)
-    return np.where(ns >= ks, log_b + survive, -np.inf)
-
-
-def _loss_score(ns: np.ndarray, cutoff: int, eta: float) -> np.ndarray:
-    """d log B[N, k] / d eta = 2k / eta - 2 eta (N - k) / (1 - eta^2), for eta < 1."""
-    ks = np.arange(cutoff + 1)[None, :]
-    return 2.0 * ks / eta - 2.0 * eta * (ns - ks) / (1.0 - eta**2)
-
-
-def lossy_tmsv_pnd(
-    eta1: float, eta2: float, r: float, cutoff, tol: float = 1e-14, wrt=()
-) -> JointPND:
+def lossy_tmsv_pnd(eta1: float, eta2: float, r: float, cutoff, wrt=()) -> JointPND:
     """Exact joint count distribution of a twin beam after per-arm loss.
 
-    Evaluates the pair-number mixture as one matrix product,
+    Bin (k, l) is the pair-number series sech^2 r sum_N tanh^(2N) r C(N, k)
+    C(N, l) q1^k (1 - q1)^(N - k) q2^l (1 - q2)^(N - l), q_i = eta_i^2.  For
+    k <= l it equals t0 2F1(l + 1, l + 1; l - k + 1; rho), where t0 is its
+    first term and rho = (1 - q1)(1 - q2) tanh^2 r.  Euler's transformation
+    (DLMF 15.8.1) rewrites it as t0 D^-(k + l + 1) 2F1(-k, -k; l - k + 1;
+    rho), with D = 1 - rho: a polynomial of k + 1 positive terms.  Regrouped
+    by m = 0 ... min(cutoff_a, cutoff_b), the whole grid is one product,
 
-        P = B1^T diag(w) B2,   w_N = tanh^(2N) r / cosh^2 r,
-        B_i[N, k] = C(N, k) q_i^k (1 - q_i)^(N - k),   q_i = eta_i^2,
+        P = A1^T diag(g) A2,   g_m = tanh^(2m) r / (cosh^2 r D),
+        A1[m, k] = C(k, m) q1^k [tanh^2 r (1 - q2)]^(k - m) / D^k,
+        A2[m, l] = C(l, m) q2^l [tanh^2 r (1 - q1)]^(l - m) / D^l,
+        D = q1 + q2 - q1 q2 + (1 - q1)(1 - q2) / cosh^2 r,
 
-    summed over pair numbers N <= N_max.  Successive terms of bin (k, l) have
-    ratio rho (N+1)^2 / ((N+1-k)(N+1-l)), which falls toward rho = (1 - q1)
-    (1 - q2) tanh^2 r < 1, so the remainder of each bin is bounded by the
-    geometric series t_N x / (1 - x) on its last term t_N, x being that
-    ratio.  N_max starts from an estimate in rho and grows until that bound
-    is at most ``tol`` times the bin's value in every bin; a series that
-    does not certify within 100 000 terms raises NumericError.  At that
-    limit the last row is first tested alone, against ``tol`` times 1, the
-    most any bin can hold; a row that fails cannot certify, so the call
-    raises without the full sum, and no output changes.
+    a finite sum of positive terms with nothing truncated, so each bin is
+    exact up to roundoff (about 1e-13 relative).  D is written without
+    cancellation.  The factors are built in log space, each row scaled to
+    its largest entry so that none overflows.
 
-    Scores reuse the factors, with d log B / d eta = 2k / eta - 2 eta (N - k)
-    / (1 - eta^2) and d log w / dr = 2N / (sinh r cosh r) - 2 tanh r.  A
-    score term is t_N (a + bN) up to sign, a, b >= 0, so its remainder is at
-    most t_N [(a + bN) x / (1 - x) + b x / (1 - x)^2]; as b / (a + bN) <= 1/N,
-    the value bound times 1 + 1 / (N (1 - x)) certifies every score to
-    ``tol`` P[k, l] (a + bN).
+    Scores reuse the factors.  The log derivative of term (m, k, l) is
+    2k / eta1 - 2 eta1 (l - m) / (1 - q1) - (k + l + 1) 2 eta1 (1 - q2)
+    tanh^2 r / D for eta1, the same with the arms swapped for eta2, and
+    (k + l - m) c - 2 tanh r + (k + l + 1) 2 (1 - q1)(1 - q2) tanh r /
+    (cosh^2 r D) for r, with c = 2 / (sinh r cosh r).  The parts in (k, l)
+    alone multiply P; each m-dependent part is one more product.
 
     Args:
         eta1: transmission amplitude of arm a, in (0, 1].
         eta2: transmission amplitude of arm b, in (0, 1].
         r: squeezing parameter, >= 0.
         cutoff: max photon index per arm, an int or an (int, int) pair.
-        tol: relative truncation tolerance per bin.
         wrt: names among eta1, eta2, r to differentiate; each must be
             interior (eta < 1, r > 0), else NumericError.
 
     Returns:
-        JointPND on a (cutoff_a + 1) x (cutoff_b + 1) grid; ``terms`` is the
-        number of pair-number terms the certificate accepted and ``scores``
-        holds one grid per name in ``wrt``.
+        JointPND on a (cutoff_a + 1) x (cutoff_b + 1) grid; ``scores`` holds
+        one grid per name in ``wrt``.  A point where D underflows to 0 or a
+        grid that overflows raises NumericError naming the point.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     if not set(wrt) <= set(LOSS_NAMES):
         raise ValueError(f"the loss model differentiates only {LOSS_NAMES}, got {wrt}")
     _check_domain(wrt, eta1=eta1, eta2=eta2, r=r)
@@ -242,59 +218,58 @@ def lossy_tmsv_pnd(
         probs[0, 0] = 1.0
         return JointPND(probs=probs, tail_mass=0.0, scores={name: 0.0 * probs for name in wrt})
 
-    log_t2, log_norm = 2.0 * np.log(np.tanh(r)), 2.0 * np.log(np.cosh(r))
-    rho = (1.0 - eta1**2) * (1.0 - eta2**2) * np.tanh(r) ** 2
-    if rho >= 1.0:
-        raise NumericError("photon-number series failed to converge")
-    top, limit = max(ca, cb), 100_000
-    # terms of the far bins peak near N ~ top / (1 - sqrt(rho)), then fall like
-    # rho^N; 1.5 times that estimate certified without regrowth on every grid tried
-    with np.errstate(divide="ignore"):
-        guess = top / (1.0 - np.sqrt(rho)) + np.log(tol) / np.log(rho)
-    n_max = int(min(1.5 * max(guess, 0.0) + 2, limit))
+    q1, q2 = eta1**2, eta2**2
+    rows = np.arange(min(ca, cb) + 1)[:, None]
+    ks, ls = np.arange(ca + 1)[None, :], np.arange(cb + 1)[None, :]
+    log_fact = _log_factorial(np.arange(max(ca, cb) + 1))
+    # D = 0 (log D = -inf) or an overflow leaves a non-finite entry, checked at the end
+    with np.errstate(all="ignore"):
+        tanh, log_c2 = np.tanh(r), 2.0 * np.log(np.cosh(r))
+        sech2 = np.exp(-log_c2)
+        d = q1 + q2 - q1 * q2 + (1.0 - q1) * (1.0 - q2) * sech2
+        log_t2, log_d = 2.0 * np.log(tanh), np.log(d)
 
-    def factors(ns):
-        """B1 and diag(w) B2 on the rows of the pair-number column ``ns``."""
-        b1 = np.exp(_log_loss_matrix(ns, ca, eta1))
-        return b1, np.exp(ns * log_t2 - log_norm + _log_loss_matrix(ns, cb, eta2))
+        def factor(cols, eta, q_other):
+            """A[m, k] for k in ``cols``, each row m divided by its largest entry exp(top_m)."""
+            km = np.maximum(cols - rows, 0)
+            # (k - m) log(tanh^2 r (1 - q)) is pinned to 0 at k = m, for q = 1
+            spread = np.where(km == 0, 0.0, km * (log_t2 + np.log1p(-q_other)))
+            log_a = (
+                log_fact[cols] - log_fact[rows] - log_fact[km]
+                + cols * (2.0 * np.log(eta) - log_d) + spread
+            )
+            log_a = np.where(cols >= rows, log_a, -np.inf)
+            top = log_a.max(axis=1, keepdims=True)
+            return np.exp(log_a - top), km, top
 
-    def certified(b1_last, wb2_last, probs) -> bool:
-        """Whether each bin's remainder after row n_max is at most tol times ``probs``."""
-        last = n_max + 1
-        ratio = rho * last**2 / np.outer(last - np.arange(ca + 1), last - np.arange(cb + 1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bound = np.outer(b1_last, wb2_last) * ratio / (1.0 - ratio)
-            if wrt:
-                bound = bound * (1.0 + 1.0 / (n_max * (1.0 - ratio)))
-        return bool(np.all((ratio < 1.0) & (bound <= tol * probs)))
+        a1, km1, top1 = factor(ks, eta1, q2)
+        a2, km2, top2 = factor(ls, eta2, q1)
+        g = np.exp(rows * log_t2 - log_c2 - log_d + top1 + top2)
+        left = a1.T * g.T
+        probs = left @ a2
 
-    while True:
-        if n_max == limit:
-            # no bin exceeds probability 1 (up to roundoff), so a last row whose
-            # bound exceeds tol cannot certify: decide that before the full sum
-            b1_last, wb2_last = factors(np.array([[n_max]]))
-            if not certified(b1_last[0], wb2_last[0], 1.0 + 1e-12):
-                raise NumericError("photon-number series failed to converge")
-        ns = np.arange(n_max + 1)[:, None]
-        b1, wb2 = factors(ns)
-        probs = b1.T @ wb2
-        if certified(b1[-1], wb2[-1], probs):
-            break
-        if n_max >= limit:
-            raise NumericError("photon-number series failed to converge")
-        n_max = min(int(1.5 * n_max), limit)
-
-    scores = {}
-    for name in wrt:
-        if name == "eta1":
-            scores[name] = (b1 * _loss_score(ns, ca, eta1)).T @ wb2
-        elif name == "eta2":
-            scores[name] = b1.T @ (wb2 * _loss_score(ns, cb, eta2))
-        else:
-            d_log_w = 2.0 * ns / (np.sinh(r) * np.cosh(r)) - 2.0 * np.tanh(r)
-            scores[name] = b1.T @ (wb2 * d_log_w)
-    tail = max(1.0 - float(probs.sum()), 0.0)
-    return JointPND(probs=probs, tail_mass=tail, terms=n_max + 1, scores=scores)
+        scores = {}
+        kl1 = ks.T + ls + 1  # k + l + 1
+        if "eta1" in wrt:
+            grid = 2.0 * ks.T / eta1 - kl1 * (2.0 * eta1 * (1.0 - q2) * tanh**2 / d)
+            scores["eta1"] = probs * grid - (2.0 * eta1 / (1.0 - q1)) * (left @ (a2 * km2))
+        if "eta2" in wrt:
+            grid = 2.0 * ls / eta2 - kl1 * (2.0 * eta2 * (1.0 - q1) * tanh**2 / d)
+            scores["eta2"] = probs * grid - (2.0 * eta2 / (1.0 - q2)) * (((a1 * km1).T * g.T) @ a2)
+        if "r" in wrt:
+            c = 2.0 * sech2 / tanh
+            grid = (kl1 - 1) * c - 2.0 * tanh + kl1 * (
+                2.0 * (1.0 - q1) * (1.0 - q2) * tanh * sech2 / d
+            )
+            scores["r"] = probs * grid - c * ((left * rows.T) @ a2)
+    # a sum is finite only if every entry is
+    total = float(probs.sum())
+    if not math.isfinite(total + sum(float(v.sum()) for v in scores.values())):
+        raise NumericError(
+            f"the count model cannot be represented at eta1={eta1}, eta2={eta2}, r={r}"
+        )
+    tail = max(1.0 - total, 0.0)
+    return JointPND(probs=probs, tail_mass=tail, scores=scores)
 
 
 def _poisson_mixing_matrix(cutoff: int, nu: float) -> np.ndarray:
@@ -327,7 +302,7 @@ def apply_dark_counts(pnd: JointPND, nu1: float, nu2: float, wrt=()) -> JointPND
     if "nu2" in wrt:
         scores["nu2"] = a1 @ pnd.probs @ -np.diff(a2, axis=0, prepend=0.0).T
     tail = max(1.0 - float(probs.sum()), 0.0)
-    return JointPND(probs=probs, tail_mass=tail, terms=pnd.terms, scores=scores)
+    return JointPND(probs=probs, tail_mass=tail, scores=scores)
 
 
 def default_cutoff(theta: ParamSet) -> tuple[int, int]:
@@ -353,7 +328,7 @@ def default_cutoff(theta: ParamSet) -> tuple[int, int]:
 def model_pnd(theta: ParamSet, cutoff=None, wrt=()) -> JointPND:
     """Full count model: lossy twin beam followed by spurious-count convolution.
 
-    The loss series is certified to ``lossy_tmsv_pnd``'s default tolerance.
+    Both stages are exact finite sums on the grid, with error at roundoff.
 
     Args:
         theta: model parameters.

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from scipy.optimize import brentq
 from scipy.signal import convolve2d
-from scipy.special import gammaln
+from scipy.special import comb, gammaln, hyp2f1
 from scipy.stats import binom, poisson
 
 from twinloss import (
@@ -136,6 +136,29 @@ def series_pnd(eta1, eta2, r, cutoff, tol=1e-14):
     return probs
 
 
+def hypergeometric_pnd(eta1, eta2, r, cutoff, euler):
+    """Independent oracle: each bin of the loss grid from ``scipy.special.hyp2f1``.
+
+    For k <= l (else the arms swap), bin (k, l) is t0 2F1(l + 1, l + 1;
+    l - k + 1; rho), with t0 = tanh^(2l) r / cosh^2 r C(l, k) q1^k q2^l
+    (1 - q1)^(l - k) and rho = (1 - q1)(1 - q2) tanh^2 r.  With ``euler`` the
+    2F1 is replaced by its Euler transform (DLMF 15.8.1) D^-(k + l + 1)
+    2F1(-k, -k; l - k + 1; rho), D = q1 + q2 - q1 q2 + (1 - q1)(1 - q2) /
+    cosh^2 r; that form holds where rho rounds to 1.  Only small cutoffs
+    keep hyp2f1 and its prefactors in range; ``cutoff`` is an (int, int) pair.
+    """
+    q1, q2, t2, c2 = eta1**2, eta2**2, np.tanh(r) ** 2, np.cosh(r) ** 2
+    rho = (1.0 - q1) * (1.0 - q2) * t2
+    d = q1 + q2 - q1 * q2 + (1.0 - q1) * (1.0 - q2) / c2
+    ks, ls = np.ogrid[: cutoff[0] + 1, : cutoff[1] + 1]
+    lo, hi = np.minimum(ks, ls), np.maximum(ks, ls)
+    q_lo, q_hi = np.where(ks <= ls, q1, q2), np.where(ks <= ls, q2, q1)
+    t0 = t2**hi / c2 * comb(hi, lo) * q_lo**lo * q_hi**hi * (1.0 - q_lo) ** (hi - lo)
+    if euler:
+        return t0 * hyp2f1(-lo, -lo, hi - lo + 1, rho) / d ** (lo + hi + 1)
+    return t0 * hyp2f1(hi + 1, hi + 1, hi - lo + 1, rho)
+
+
 def _difference_step(theta, name, step):
     """Central-difference step for one parameter, shrunk to stay in the domain."""
     value = getattr(theta, name)
@@ -158,17 +181,17 @@ def _difference_step(theta, name, step):
     return h
 
 
-def fd_scores(theta, params=PARAM_NAMES, cutoff=None, step=1e-5, tol=1e-14):
+def fd_scores(theta, params=PARAM_NAMES, cutoff=None, step=1e-5):
     """Independent oracle: central-difference derivatives of the model grid.
 
     Returns (dprobs, dtails), one entry per parameter, from two value-only
-    evaluations of the count model per parameter, each certified to ``tol``.
+    evaluations of the count model per parameter.
     """
     if cutoff is None:
         cutoff = default_cutoff(theta)
 
     def model(point):
-        loss = lossy_tmsv_pnd(point.eta1, point.eta2, point.r, cutoff, tol)
+        loss = lossy_tmsv_pnd(point.eta1, point.eta2, point.r, cutoff)
         return apply_dark_counts(loss, point.nu1, point.nu2)
 
     dprobs, dtails = [], []

@@ -272,16 +272,17 @@ def test_fisher_matches_library(capsys, theta_a):
     assert doc["condition_number"] > 1.0
 
 
-def test_fisher_uncertifiable_series_exits_3(capsys):
+def test_fisher_unrepresentable_point_exits_3(capsys):
+    # D = q1 + q2 - q1 q2 + (1 - q1)(1 - q2) / cosh^2 r underflows to 0
     code = main(
         [
-            "fisher", "--eta1", "0.01", "--eta2", "0.01", "--r", "6",
+            "fisher", "--eta1", "1e-200", "--eta2", "1e-200", "--r", "400",
             "--cutoff", "4", "--params", "eta1,eta2",
         ]
     )
     assert code == 3
     err = capsys.readouterr().err
-    assert "numeric failure: photon-number series failed to converge" in err
+    assert "numeric failure: the count model cannot be represented at eta1=1e-200" in err
     assert "Traceback" not in err
 
 

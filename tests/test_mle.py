@@ -147,10 +147,11 @@ def test_fit_validation(theta_a):
 
 
 def test_fit_raises_numeric_error_when_every_start_fails():
-    # the loss series at the start cannot be certified, so no start gets a model
+    # the fixed transmissions and the start's squeezing leave D = 0, where the
+    # count model cannot be represented, so no start gets a model
     hist = Histogram(counts=np.ones((5, 5)))
     with pytest.raises(NumericError, match="every start"):
-        fit(hist, ParamSet(eta1=0.01, eta2=0.01, r=6.0), free=("eta1", "eta2"), n_starts=1)
+        fit(hist, ParamSet(eta1=1e-200, eta2=1e-200, r=400.0), free=("r",), n_starts=1)
 
 
 def test_fit_rejects_negative_seed(theta_a):

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from conftest import (
-    dark_count_oracle, fd_scores, lowloss_three_outcome, mixture_pnd, series_pnd
+    dark_count_oracle,
+    fd_scores,
+    hypergeometric_pnd,
+    lowloss_three_outcome,
+    mixture_pnd,
+    series_pnd,
 )
 from scipy.stats import binom, poisson
 
@@ -89,7 +94,7 @@ def test_matrix_product_matches_series(eta1, eta2, r, ca, cb, nu1, nu2):
 
 
 def test_matrix_product_matches_series_in_far_corner():
-    # rho = 0.88 and a wide grid: the certified sum needs far more than
+    # rho = 0.88 and a wide grid: the oracle's series needs far more than
     # 2 * cutoff pair numbers before the corner bins settle
     got = lossy_tmsv_pnd(0.1, 0.2, 2.0, 40).probs
     want = series_pnd(0.1, 0.2, 2.0, 40)
@@ -132,10 +137,9 @@ def test_scores_match_central_differences(eta1, eta2, r, ca, cb, nu1, nu2):
     pnd = model_pnd(theta, (ca, cb), wrt=PARAM_NAMES)
     # Richardson extrapolation of two central differences: where a score is
     # ~1e-4 of p (eta and r near 0.05), a single difference small enough to
-    # be accurate is swamped by roundoff; a tight oracle tolerance keeps
-    # truncation noise out
-    coarse, _ = fd_scores(theta, PARAM_NAMES, (ca, cb), step=2e-3, tol=1e-18)
-    fine, _ = fd_scores(theta, PARAM_NAMES, (ca, cb), step=1e-3, tol=1e-18)
+    # be accurate is swamped by roundoff
+    coarse, _ = fd_scores(theta, PARAM_NAMES, (ca, cb), step=2e-3)
+    fine, _ = fd_scores(theta, PARAM_NAMES, (ca, cb), step=1e-3)
     for name, c, f in zip(PARAM_NAMES, coarse, fine):
         got, want = pnd.scores[name], (4.0 * f - c) / 3.0
         assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
@@ -143,8 +147,8 @@ def test_scores_match_central_differences(eta1, eta2, r, ca, cb, nu1, nu2):
 
 
 def test_scores_match_fixed_sum_in_far_corner():
-    # rho = 0.88 on a wide grid: the score terms peak near N ~ 700 and the
-    # certified sum runs to about 2000 pair numbers
+    # rho = 0.88 on a wide grid: the score terms of the pair-number series
+    # peak near N ~ 700, well inside the 4001 terms summed here
     eta1, eta2, r = 0.1, 0.2, 2.0
     got = lossy_tmsv_pnd(eta1, eta2, r, 40, wrt=("eta1", "eta2", "r")).scores
     n = np.arange(4001)[:, None]
@@ -214,52 +218,103 @@ def test_repeated_parameter_names_rejected(theta_a, call):
 
 @pytest.mark.parametrize(
     "eta, r",
-    # rho rounds to 1, and rho = 0.99978 does not certify within 100 000 terms
-    [(1e-9, 20.0), (0.01, 6.0)],
+    # the truncated series refused all three: rho rounds to 1 at the first, and
+    # the others needed 100 000 or more pair-number terms
+    [(1e-9, 20.0), (0.01, 6.0), (0.017, 6.0)],
 )
-def test_uncertifiable_series_raises_numeric_error(eta, r):
-    with pytest.raises(NumericError, match="failed to converge"):
-        lossy_tmsv_pnd(eta, eta, r, 4)
+def test_far_points_match_hypergeometric_form(eta, r):
+    probs = lossy_tmsv_pnd(eta, 1.1 * eta, r, 4).probs
+    euler = hypergeometric_pnd(eta, 1.1 * eta, r, (4, 4), euler=True)
+    assert np.all(np.abs(probs - euler) <= 1e-12 * euler)
+    if (1.0 - eta**2) ** 2 * np.tanh(r) ** 2 < 1.0:
+        # near rho = 1 the series form amplifies the roundoff of rho by
+        # (k + l + 1) / (1 - rho), about 4e4 here
+        series = hypergeometric_pnd(eta, 1.1 * eta, r, (4, 4), euler=False)
+        assert np.all(np.abs(probs - series) <= 1e-10 * series)
 
 
-def test_uncertifiable_series_fails_before_the_full_sum():
-    # the default cutoff is (1081, 1814): a full sum at the 100 000-term limit
-    # would hold arrays of 100 001 x 1815 entries
-    theta = ParamSet(eta1=0.03, eta2=0.039, r=6.0)
+@given(
+    eta1=eta_domain,
+    eta2=eta_domain,
+    r=st.floats(0.0, 1.5, exclude_min=True),
+    ca=st.integers(0, 39),
+    cb=st.integers(0, 39),
+)
+def test_finite_sum_matches_series_bin_by_bin(eta1, eta2, r, ca, cb):
+    # r stops at 1.5: beyond it the oracle's log-space terms lose digits, and
+    # at (0.05, 0.05, 2.5) it drifts 4e-12 from hyp2f1, which agrees with
+    # mpmath to 2e-14; the test below covers r up to 2.5 against hyp2f1
+    got = lossy_tmsv_pnd(eta1, eta2, r, (ca, cb)).probs
+    want = series_pnd(eta1, eta2, r, (ca, cb))
+    big = want > 1e-250
+    assert np.all(np.abs(got - want)[big] <= 1e-12 * want[big])
+
+
+@given(
+    eta1=eta_domain,
+    eta2=eta_domain,
+    r=st.floats(0.0, 2.5, exclude_min=True),
+    ca=st.integers(0, 39),
+    cb=st.integers(0, 39),
+)
+def test_finite_sum_matches_hypergeometric_form(eta1, eta2, r, ca, cb):
+    got = lossy_tmsv_pnd(eta1, eta2, r, (ca, cb)).probs
+    want = hypergeometric_pnd(eta1, eta2, r, (ca, cb), euler=True)
+    big = want > 1e-250
+    assert np.all(np.abs(got - want)[big] <= 1e-12 * want[big])
+
+
+@pytest.mark.parametrize(
+    "eta1, eta2, r, cutoff",
+    [
+        # the truncated series refused the first (0.3-1.3 s, 357 MB) and took
+        # 2-3 s and 1.3 GB on the second (None: the default cutoff)
+        (0.02, 0.026, 4.5, None),
+        (0.05, 0.065, 4.5, None),
+        # C(k, m) tanh^(2(k - m)) r overflows here unless each factor row is
+        # scaled to its largest entry
+        (0.99, 0.1, 2.0, (1100, 600)),
+    ],
+)
+def test_wide_grids_evaluate_within_a_second(eta1, eta2, r, cutoff):
+    cutoff = cutoff or default_cutoff(ParamSet(eta1=eta1, eta2=eta2, r=r))
     start = time.perf_counter()
-    with pytest.raises(NumericError, match="failed to converge"):
-        lossy_tmsv_pnd(0.03, 0.039, 6.0, default_cutoff(theta), wrt=("eta1", "r"))
+    probs = lossy_tmsv_pnd(eta1, eta2, r, cutoff).probs
     assert time.perf_counter() - start < 1.0
+    assert np.isfinite(probs).all()
+    for eta, marginal in ((eta1, probs.sum(axis=1)), (eta2, probs.sum(axis=0))):
+        nbar = eta**2 * np.sinh(r) ** 2
+        thermal = (nbar / (1.0 + nbar)) ** np.arange(marginal.size) / (1.0 + nbar)
+        assert np.abs(marginal - thermal).max() <= 1e-12
 
 
-def test_series_certifying_at_the_term_limit_still_evaluates():
-    # the first guess is the 100 000-term limit, where the last row is tested alone first
-    pnd = lossy_tmsv_pnd(0.017, 0.017, 6.0, 4, wrt=("eta1", "r"))
-    assert pnd.terms == 100_001
-    assert np.isfinite(pnd.probs).all() and pnd.probs.min() > 0.0
+@pytest.mark.parametrize(
+    "call",
+    [
+        # D = q1 + q2 - q1 q2 + (1 - q1)(1 - q2) / cosh^2 r underflows to 0
+        lambda: lossy_tmsv_pnd(1e-200, 1e-200, 400.0, 4),
+        lambda: model_pnd(ParamSet(eta1=1e-200, eta2=1e-200, r=400.0, nu1=0.1), 4),
+        # 2 / (sinh r cosh r) overflows at a subnormal r
+        lambda: lossy_tmsv_pnd(0.5, 0.5, 1e-310, 4, wrt=("r",)),
+    ],
+    ids=["lossy_tmsv_pnd", "model_pnd", "subnormal-r-score"],
+)
+def test_unrepresentable_points_raise_numeric_error(call):
+    with pytest.raises(NumericError, match="cannot be represented at eta1="):
+        call()
+
+
+def test_squeezing_score_keeps_its_first_order_term_at_tiny_r():
+    # at r = 1e-200 bin (0, 0) is 1 / (cosh^2 r D), whose r-derivative is
+    # -2 r (1 - (1 - q1)(1 - q2)); the truncated series lost it with tanh^2 r
+    r = 1e-200
+    score = lossy_tmsv_pnd(0.5, 0.5, r, 2, wrt=("r",)).scores["r"][0, 0]
+    assert score == pytest.approx(-2.0 * r * (1.0 - 0.75**2), rel=1e-12, abs=0.0)
 
 
 def test_vacuum_scores_in_transmission_vanish():
     pnd = lossy_tmsv_pnd(0.7, 0.9, 0.0, 4, wrt=("eta1", "eta2"))
     assert not pnd.scores["eta1"].any() and not pnd.scores["eta2"].any()
-
-
-def test_terms_near_smallest_certified_count(theta_a):
-    # 166 (cutoff 16) and 264 (default cutoff 34) pair-number terms are the
-    # fewest that certify both values and scores at point A
-    for cutoff, smallest in ((16, 166), (default_cutoff(theta_a), 264)):
-        for wrt in ((), ("eta1", "eta2", "r")):
-            terms = lossy_tmsv_pnd(theta_a.eta1, theta_a.eta2, theta_a.r, cutoff, wrt=wrt).terms
-            assert smallest <= terms <= 1.1 * smallest
-
-
-def test_terms_exceed_cutoff_and_grow_with_squeezing():
-    terms = [lossy_tmsv_pnd(0.5, 0.6, r, 10).terms for r in (0.25, 0.5, 1.0, 2.0)]
-    assert terms[0] > 10
-    assert all(t0 < t1 for t0, t1 in zip(terms, terms[1:]))
-    theta = ParamSet(eta1=0.5, eta2=0.6, r=1.0, nu1=0.1, nu2=0.2)
-    assert model_pnd(theta, 10).terms == terms[2]
-    assert lossy_tmsv_pnd(0.5, 0.6, 0.0, 10).terms == 0
 
 
 def test_dark_counts_zero_rates_is_identity():
