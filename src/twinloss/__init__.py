@@ -16,7 +16,6 @@ from .fisher import (
     qfim_fock,
     qfim_inverse_analytic,
     qfim_tmsv,
-    reparametrize_fim,
     sensitivity,
     total_variance,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "NumericError",
     "classical_fim",
     "observed_fim",
-    "reparametrize_fim",
     "qfim_coherent",
     "qfim_fock",
     "qfim_inverse_analytic",

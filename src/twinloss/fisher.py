@@ -50,9 +50,6 @@ class FisherMatrix:
         if float(np.linalg.eigvalsh(self.entries).min()) < -1e-10 * scale:
             raise ValueError("information matrix is not positive semidefinite")
 
-    def smallest_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries).min())
-
     def index(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -142,27 +139,6 @@ def _observed_information(counts: np.ndarray, pnd, params: tuple[str, ...]) -> F
     p_occ = pnd.probs[occupied]
     log_scores = np.array([pnd.scores[name][occupied] / p_occ for name in params])
     return FisherMatrix(labels=params, entries=_gram(log_scores, counts[occupied]))
-
-
-def reparametrize_fim(
-    fim: FisherMatrix,
-    jacobian: np.ndarray,
-    labels: tuple[str, ...] | None = None,
-) -> FisherMatrix:
-    """Transform an information matrix to new coordinates: J^T F J.
-
-    ``jacobian[i, j]`` is the derivative of old parameter i with respect to
-    new parameter j; it must be square and invertible.
-    """
-    jac = np.asarray(jacobian, dtype=float)
-    n = len(fim.labels)
-    if jac.shape != (n, n):
-        raise ValueError(f"jacobian must be {n}x{n}, got {jac.shape}")
-    if not np.isfinite(jac).all() or np.linalg.matrix_rank(jac) < n:
-        raise ValueError("jacobian is singular")
-    entries = jac.T @ fim.entries @ jac
-    entries = 0.5 * (entries + entries.T)
-    return FisherMatrix(labels=tuple(labels) if labels else fim.labels, entries=entries)
 
 
 def qfim_coherent(alpha_sq: float, beta_sq: float) -> FisherMatrix:

@@ -6,13 +6,20 @@ amplitude ``eta_i`` (power transmission ``eta_i**2``) and each detector adds
 Poissonian spurious counts with mean ``nu_i`` per shot.  The joint count
 distribution is evaluated on a finite grid as an exact finite sum, with error
 at roundoff, optionally with its exact derivatives (scores).
+
+Fits, Fisher matrices and crossover rays evaluate the model many times on the
+same grid, so the arrays that depend only on the grid (index arrays, log
+binomials, masks and Poisson mixing matrices) are built once and kept,
+read-only and least recently used first out, up to ``GRID_STORE_BYTES``.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 import numbers
+import threading
 
 import numpy as np
 from scipy import stats
@@ -26,6 +33,10 @@ P_FLOOR = 1e-300
 # combined thermal plus Poisson mass that default_cutoff leaves beyond each arm
 CUTOFF_TAIL = 1e-12
 
+# bytes of grid-only arrays kept between evaluations; a larger entry is built
+# for its call and not kept
+GRID_STORE_BYTES = 32 * 2**20
+
 # log n! lookup, grown on demand
 _LOG_FACT = gammaln(np.arange(512, dtype=float) + 1.0)
 
@@ -36,6 +47,51 @@ def _log_factorial(n: np.ndarray) -> np.ndarray:
     if top >= _LOG_FACT.size:
         _LOG_FACT = gammaln(np.arange(2 * top, dtype=float) + 1.0)
     return _LOG_FACT[n]
+
+
+class _GridStore:
+    """Least-recently-used store of read-only arrays, capped by their total bytes.
+
+    ``get(key, build)`` returns the tuple of arrays under ``key``, calling
+    ``build()`` on a miss.  Building runs outside the lock, so threads on
+    different grids do not wait for each other.
+    """
+
+    def __init__(self, cap: int) -> None:
+        self.cap = cap
+        self.nbytes = 0
+        self._entries = collections.OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key, build):
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return entry
+        entry = build()
+        for array in entry:
+            array.flags.writeable = False
+        size = sum(array.nbytes for array in entry)
+        if size > self.cap:
+            return entry
+        with self._lock:
+            if key in self._entries:
+                return self._entries[key]
+            self._entries[key] = entry
+            self.nbytes += size
+            while self.nbytes > self.cap:
+                _, old = self._entries.popitem(last=False)
+                self.nbytes -= sum(array.nbytes for array in old)
+        return entry
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
+
+
+_STORE = _GridStore(GRID_STORE_BYTES)
 
 
 class NumericError(RuntimeError):
@@ -137,7 +193,7 @@ class JointPND:
     def __post_init__(self) -> None:
         if self.probs.ndim != 2:
             raise ValueError("probability grid must be two dimensional")
-        if float(np.min(self.probs)) < -1e-12 or float(np.max(self.probs)) > 1.0 + 1e-12:
+        if self.probs.min() < -1e-12 or self.probs.max() > 1.0 + 1e-12:
             raise ValueError("probabilities out of [0, 1]")
         if not -1e-12 <= self.tail_mass <= 1.0 + 1e-12:
             raise ValueError(f"tail mass out of range: {self.tail_mass}")
@@ -219,9 +275,9 @@ def lossy_tmsv_pnd(eta1: float, eta2: float, r: float, cutoff, wrt=()) -> JointP
         return JointPND(probs=probs, tail_mass=0.0, scores={name: 0.0 * probs for name in wrt})
 
     q1, q2 = eta1**2, eta2**2
-    rows = np.arange(min(ca, cb) + 1)[:, None]
-    ks, ls = np.arange(ca + 1)[None, :], np.arange(cb + 1)[None, :]
-    log_fact = _log_factorial(np.arange(max(ca, cb) + 1))
+    rows, kl1, *arms = _STORE.get(("loss", ca, cb), lambda: _loss_grid(ca, cb))
+    arm1, arm2 = arms[:5], arms[5:]
+    (ks, km1, *_), (ls, km2, *_) = arm1, arm2
     # D = 0 (log D = -inf) or an overflow leaves a non-finite entry, checked at the end
     with np.errstate(all="ignore"):
         tanh, log_c2 = np.tanh(r), 2.0 * np.log(np.cosh(r))
@@ -229,27 +285,23 @@ def lossy_tmsv_pnd(eta1: float, eta2: float, r: float, cutoff, wrt=()) -> JointP
         d = q1 + q2 - q1 * q2 + (1.0 - q1) * (1.0 - q2) * sech2
         log_t2, log_d = 2.0 * np.log(tanh), np.log(d)
 
-        def factor(cols, eta, q_other):
-            """A[m, k] for k in ``cols``, each row m divided by its largest entry exp(top_m)."""
-            km = np.maximum(cols - rows, 0)
+        def factor(arm, eta, q_other):
+            """A[m, k] on one arm's columns, each row m divided by its largest entry exp(top_m)."""
+            cols, km, log_binom, upper, pinned = arm
             # (k - m) log(tanh^2 r (1 - q)) is pinned to 0 at k = m, for q = 1
-            spread = np.where(km == 0, 0.0, km * (log_t2 + np.log1p(-q_other)))
-            log_a = (
-                log_fact[cols] - log_fact[rows] - log_fact[km]
-                + cols * (2.0 * np.log(eta) - log_d) + spread
-            )
-            log_a = np.where(cols >= rows, log_a, -np.inf)
+            spread = np.where(pinned, 0.0, km * (log_t2 + np.log1p(-q_other)))
+            log_a = log_binom + cols * (2.0 * np.log(eta) - log_d) + spread
+            log_a = np.where(upper, log_a, -np.inf)
             top = log_a.max(axis=1, keepdims=True)
-            return np.exp(log_a - top), km, top
+            return np.exp(log_a - top), top
 
-        a1, km1, top1 = factor(ks, eta1, q2)
-        a2, km2, top2 = factor(ls, eta2, q1)
+        a1, top1 = factor(arm1, eta1, q2)
+        a2, top2 = factor(arm2, eta2, q1)
         g = np.exp(rows * log_t2 - log_c2 - log_d + top1 + top2)
         left = a1.T * g.T
         probs = left @ a2
 
         scores = {}
-        kl1 = ks.T + ls + 1  # k + l + 1
         if "eta1" in wrt:
             grid = 2.0 * ks.T / eta1 - kl1 * (2.0 * eta1 * (1.0 - q2) * tanh**2 / d)
             scores["eta1"] = probs * grid - (2.0 * eta1 / (1.0 - q1)) * (left @ (a2 * km2))
@@ -272,13 +324,38 @@ def lossy_tmsv_pnd(eta1: float, eta2: float, r: float, cutoff, wrt=()) -> JointP
     return JointPND(probs=probs, tail_mass=tail, scores=scores)
 
 
+def _loss_grid(ca: int, cb: int) -> tuple:
+    """The arrays of ``lossy_tmsv_pnd`` that depend only on the grid.
+
+    Returns rows m as a column, the (k + l + 1) grid, then for arm a and
+    then arm b its columns k as a row, (k - m)^+, log C(k, m), and the masks
+    k >= m and k <= m.  Indices are stored as floats, the type every use
+    needs.
+    """
+    rows = np.arange(min(ca, cb) + 1)[:, None]
+    log_fact = _log_factorial(np.arange(max(ca, cb) + 1))
+
+    def arm(cutoff):
+        cols = np.arange(cutoff + 1)[None, :]
+        km = np.maximum(cols - rows, 0)
+        log_binom = log_fact[cols] - log_fact[rows] - log_fact[km]
+        return cols.astype(float), km.astype(float), log_binom, cols >= rows, km == 0
+
+    arm1, arm2 = arm(ca), arm(cb)
+    return rows.astype(float), arm1[0].T + arm2[0] + 1.0, *arm1, *arm2
+
+
 def _poisson_mixing_matrix(cutoff: int, nu: float) -> np.ndarray:
-    """Lower-triangular convolution matrix A[m, k] = Poisson(nu).pmf(m - k)."""
-    ks = np.arange(cutoff + 1)
-    if nu == 0.0:
-        return np.eye(cutoff + 1)
-    pmf = np.exp(ks * np.log(nu) - nu - _log_factorial(ks))
-    return np.tril(pmf[np.abs(ks[:, None] - ks[None, :])])
+    """Lower-triangular convolution matrix A[m, k] = Poisson(nu).pmf(m - k), read-only."""
+
+    def build():
+        ks = np.arange(cutoff + 1)
+        if nu == 0.0:
+            return (np.eye(cutoff + 1),)
+        pmf = np.exp(ks * np.log(nu) - nu - _log_factorial(ks))
+        return (np.tril(pmf[np.abs(ks[:, None] - ks[None, :])]),)
+
+    return _STORE.get(("poisson", cutoff, nu), build)[0]
 
 
 def apply_dark_counts(pnd: JointPND, nu1: float, nu2: float, wrt=()) -> JointPND:

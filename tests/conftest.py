@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from scipy.optimize import brentq
 from scipy.signal import convolve2d
-from scipy.special import comb, gammaln, hyp2f1
+from scipy.special import comb, hyp2f1
 from scipy.stats import binom, poisson
 
 from twinloss import (
@@ -55,21 +55,21 @@ def dark_count_oracle(probs, nu1, nu2):
     return probs
 
 
-def _log_factorial(n):
-    return gammaln(n + 1.0)
-
-
 def series_pnd(eta1, eta2, r, cutoff, tol=1e-14):
     """Independent oracle: the blocked log-space series over pair numbers.
 
     Evaluates, in log space,
 
-        p(k, l) = (1 / cosh^2 r) * sum_{N >= max(k, l)}
-                  lam1^(N-k) * lam2^(N-l) * |f|^(2N) * C(N, k) * C(N, l)
+        p(k, l) = (1 / cosh^2 r) * sum_{N >= max(k, l)} tanh^(2N) r
+                  * C(N, k) q1^k (1 - q1)^(N-k) * C(N, l) q2^l (1 - q2)^(N-l)
 
-    with lam_i = (1 - eta_i^2) / eta_i^2 and |f|^2 = eta1^2 eta2^2 tanh^2 r,
-    in blocks of 16 terms, until each bin's geometric remainder bound drops
-    below ``tol`` times its partial sum.  Returns the probability grid.
+    with q_i = eta_i^2, in blocks of 16 terms, until each bin's geometric
+    remainder bound drops below ``tol`` times its partial sum.  Each log
+    term is log C(N, k) + k log q1 + (N - k) log(1 - q1), the same for arm b,
+    plus N log tanh^2 r - log cosh^2 r, and log C(N, k) is a sum of k logs
+    of (N + 1 - j) / j: no part is a difference of log factorials thousands
+    in size, so the terms keep their digits at large N.  Returns the
+    probability grid.
     """
     ca, cb = cutoff if isinstance(cutoff, tuple) else (cutoff, cutoff)
     probs = np.zeros((ca + 1, cb + 1))
@@ -81,16 +81,18 @@ def series_pnd(eta1, eta2, r, cutoff, tol=1e-14):
     ls = np.arange(cb + 1)[None, :]
     start = np.maximum(ks, ls)
 
-    lam1 = (1.0 - eta1**2) / eta1**2
-    lam2 = (1.0 - eta2**2) / eta2**2
-    log_lam1 = np.log(lam1) if lam1 > 0.0 else -np.inf
-    log_lam2 = np.log(lam2) if lam2 > 0.0 else -np.inf
-    log_f2 = 2.0 * (np.log(eta1) + np.log(eta2) + np.log(np.tanh(r)))
+    q1, q2 = eta1**2, eta2**2
+    log_t2 = 2.0 * np.log(np.tanh(r))
     log_norm = 2.0 * np.log(np.cosh(r))
-    rho = lam1 * lam2 * np.exp(log_f2)
+    rho = (1.0 - q1) * (1.0 - q2) * np.tanh(r) ** 2
 
-    log_fact_k = _log_factorial(ks)
-    log_fact_l = _log_factorial(ls)
+    js = np.arange(1, max(ca, cb) + 1)
+
+    def log_binomial_term(log_binom, k, q, n_minus_k):
+        """log C(N, k) q^k (1 - q)^(N - k), with (N - k) log(1 - q) pinned to 0 at N = k."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            loss = np.where(n_minus_k == 0, 0.0, n_minus_k * np.log1p(-q))
+        return log_binom + k * np.log(q) + loss
 
     block = 16
     n_lo = 0
@@ -104,19 +106,14 @@ def series_pnd(eta1, eta2, r, cutoff, tol=1e-14):
         valid = (nk >= 0) & (nl >= 0)
         nk_c = np.where(valid, nk, 0)
         nl_c = np.where(valid, nl, 0)
-        # (N - k) * log(lam) with the 0 * (-inf) case pinned to 0 for eta = 1
-        with np.errstate(invalid="ignore"):
-            w1 = np.where(nk_c == 0, 0.0, nk_c * log_lam1)
-            w2 = np.where(nl_c == 0, 0.0, nl_c * log_lam2)
+        # log C(N, k) for k = 0 ... max cutoff; NaN or -inf where k > N, masked below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.log((ns[:, :, 0] + 1 - js) / js)
+        log_binom = np.concatenate([np.zeros((block, 1)), np.cumsum(steps, axis=1)], axis=1)
         exponent = (
-            2.0 * _log_factorial(ns)
-            - _log_factorial(nk_c)
-            - _log_factorial(nl_c)
-            - log_fact_k[None, :, :]
-            - log_fact_l[None, :, :]
-            + w1
-            + w2
-            + ns * log_f2
+            log_binomial_term(log_binom[:, : ca + 1, None], ks[None, :, :], q1, nk_c)
+            + log_binomial_term(log_binom[:, None, : cb + 1], ls[None, :, :], q2, nl_c)
+            + ns * log_t2
             - log_norm
         )
         terms = np.where(valid, np.exp(np.where(valid, exponent, -np.inf)), 0.0)
