@@ -300,12 +300,21 @@ def crossover_curve(
         if s_min >= s_max:
             return None
 
+        # the sign test's end values, handed to brentq, which asks for both first
+        ends = {}
+
         def gap(s: float) -> float:
+            if s in ends:
+                return ends.pop(s)
             e1, e2 = s * direction
             return _sensitivity_for_source(source, e1, e2, r) - energy
 
-        if gap(s_min) < 0.0 < gap(s_max):
-            return brentq(gap, s_min, s_max) * direction
+        low = gap(s_min)
+        if low < 0.0:
+            high = gap(s_max)
+            if high > 0.0:
+                ends[s_min], ends[s_max] = low, high
+                return brentq(gap, s_min, s_max) * direction
         return None
 
     # chosen by index: the middle angle of an odd count can round past pi / 4

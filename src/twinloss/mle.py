@@ -6,6 +6,14 @@ differences of the objective equal per-shot log-likelihood differences and
 the minimum is exactly zero when the model reproduces the data.  Parameters
 are optimized through unconstrained transforms by multi-start Fisher
 scoring on the exact scores of the count model.
+
+Scoring stops on the objective, not on the step: once the decrease its next
+step predicts, g^T F^+ g (the squared Newton decrement; Boyd and
+Vandenberghe, Convex Optimization, 9.5.1), is at most DECREASE_TOL.  The
+quadratic model then puts the minimum at most delta = DECREASE_TOL / 2 nats
+per shot below, so with N shots the estimate lies within about
+sqrt(2 N delta) standard errors of the optimum: 5e-5 at N = 1e5 and 1.7e-4
+at N = 1e6.
 """
 
 from __future__ import annotations
@@ -24,9 +32,9 @@ from .pnd import (
 
 # starts after the first add Gaussian noise of this width to the unconstrained start
 JITTER = 0.05
-# scoring stops once a step is below XATOL in every unconstrained coordinate,
-# or after MAXITER steps
-XATOL = 1e-9
+# scoring stops once its predicted decrease of the objective (nats per shot)
+# is at most DECREASE_TOL, or after MAXITER steps
+DECREASE_TOL = 128 * np.finfo(float).eps
 MAXITER = 5000
 
 
@@ -252,11 +260,14 @@ def _from_unconstrained(
 def minimize(evaluate, x0: np.ndarray) -> OptimizeResult:
     """Fisher scoring from x0; ``evaluate(x)`` returns (objective, gradient, information, model).
 
-    Each iteration proposes the step -F^-1 g (least squares, so a singular F
-    gives the minimum-norm step and F = g = 0 gives none) and halves it until
-    the objective does not rise.  Stops with success once the step is below
-    XATOL in every coordinate, without it after MAXITER steps.  The result
-    also holds ``model``, that of the last accepted evaluation.
+    Each iteration proposes the step s = -F^-1 g (least squares, so a singular
+    F gives the minimum-norm step and F = g = 0 gives none) and halves it until
+    the objective does not rise.  Its predicted decrease -g.s = g^T F^+ g, the
+    squared Newton decrement, halves with it and does not depend on the
+    coordinates.  Scoring stops with success, before evaluating the step,
+    once that decrease is at most DECREASE_TOL, and without it after MAXITER
+    steps.  The result also holds ``model``, that of the last accepted
+    evaluation.
     """
     x = np.asarray(x0, dtype=float)
     value, grad, info, model = evaluate(x)
@@ -268,19 +279,21 @@ def minimize(evaluate, x0: np.ndarray) -> OptimizeResult:
         if not np.isfinite(step).all():
             message = "scoring step is not finite"
             break
-        while np.abs(step).max() >= XATOL:
+        gain = -(grad @ step)
+        while gain > DECREASE_TOL:
             trial = evaluate(x + step)
             nfev += 1
             if trial[0] <= value:
                 x, nit = x + step, nit + 1
                 value, grad, info, model = trial
                 break
-            step = step / 2.0
-        if np.abs(step).max() < XATOL:
-            message = "step below xatol"
+            step, gain = step / 2.0, gain / 2.0
+        if gain <= DECREASE_TOL:
+            message = "predicted decrease below tolerance"
             break
     return OptimizeResult(
-        x=x, fun=value, nit=nit, nfev=nfev, success=message == "step below xatol",
+        x=x, fun=value, nit=nit, nfev=nfev,
+        success=message == "predicted decrease below tolerance",
         message=message, model=model,
     )
 
@@ -318,7 +331,10 @@ def fit(
     count model failing at every start raises NumericError.  Every evaluation
     returns the objective with its exact gradient and the information of
     the conditioned model, chained through the transforms, and ``minimize``
-    steps by -F^-1 g, halving until the objective does not rise.  Start 0
+    steps by -F^-1 g, halving until the objective does not rise, and stops
+    once the decrease a step predicts is at most DECREASE_TOL, which leaves
+    each estimate about sqrt(N DECREASE_TOL) standard errors from the optimum
+    for N shots (see the module docstring).  Start 0
     uses ``init`` (or ``moment_init``) exactly; further starts jitter the
     unconstrained vector by JITTER-wide Gaussian noise from ``rng_stream(seed)``.
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
-from scipy.optimize import brentq
+from scipy.optimize import OptimizeResult, brentq
 from scipy.signal import convolve2d
 from scipy.special import comb, hyp2f1
 from scipy.stats import binom, poisson
@@ -9,6 +9,7 @@ from scipy.stats import binom, poisson
 from twinloss import (
     PARAM_NAMES, NumericError, ParamSet, apply_dark_counts, default_cutoff, fisher, lossy_tmsv_pnd
 )
+from twinloss.mle import MAXITER
 
 settings.register_profile(
     "suite",
@@ -254,6 +255,42 @@ def crossover_full_solve(r, source, n_rays):
         if s_min < s_max and gap(s_min) < 0.0 < gap(s_max):
             points.append(brentq(gap, s_min, s_max) * direction)
     return np.array(points).reshape(-1, 2)
+
+
+XATOL = 1e-9
+
+
+def scoring_to_xatol(evaluate, x0):
+    """Oracle of ``mle.minimize``: Fisher scoring that stops on the step size.
+
+    Stops with success once a step is below XATOL in every unconstrained
+    coordinate, so it keeps halving after the objective has converged.
+    """
+    x = np.asarray(x0, dtype=float)
+    value, grad, info, model = evaluate(x)
+    nit, nfev, message = 0, 1, "maximum number of iterations reached"
+    if not np.isfinite(value):
+        message = "objective is not finite at the start"
+    while np.isfinite(value) and nit < MAXITER:
+        step = np.linalg.lstsq(info, -grad, rcond=None)[0]
+        if not np.isfinite(step).all():
+            message = "scoring step is not finite"
+            break
+        while np.abs(step).max() >= XATOL:
+            trial = evaluate(x + step)
+            nfev += 1
+            if trial[0] <= value:
+                x, nit = x + step, nit + 1
+                value, grad, info, model = trial
+                break
+            step = step / 2.0
+        if np.abs(step).max() < XATOL:
+            message = "step below xatol"
+            break
+    return OptimizeResult(
+        x=x, fun=value, nit=nit, nfev=nfev, success=message == "step below xatol",
+        message=message, model=model,
+    )
 
 
 def lowloss_qfim(eta1, eta2, r):

@@ -315,6 +315,18 @@ def test_mirrored_crossover_matches_full_solve(source, n_rays):
             assert curve.diagonal_point() == fisher.CrossoverCurve(r, source, full).diagonal_point()
 
 
+def test_crossover_evaluates_no_point_twice(monkeypatch):
+    points = []
+
+    def counted(theta, *args, **kwargs):
+        points.append((theta.eta1, theta.eta2))
+        return classical_fim(theta, *args, **kwargs)
+
+    monkeypatch.setattr(fisher, "classical_fim", counted)
+    crossover_curve(0.25, n_rays=9)
+    assert points and len(set(points)) == len(points)
+
+
 def test_crossover_quantum_bound_source():
     curve = crossover_curve(0.5, source="three-param-qfim", n_rays=1)
     assert curve.diagonal_point() == pytest.approx(0.72800589, abs=1e-4)

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import scoring_to_xatol
 
 from twinloss import (
     BOOTSTRAP_MODES,
@@ -22,8 +23,9 @@ from twinloss import (
     rms_error,
     sample_shots,
 )
+from twinloss import mle
 from twinloss.io import result_to_dict, write_result_json
-from twinloss.mle import _conditioned_kl, _kl_divergence, minimize
+from twinloss.mle import DECREASE_TOL, _conditioned_kl, _kl_divergence, minimize
 
 
 def exact_model_histogram(theta, scale, cutoff=None):
@@ -273,9 +275,84 @@ def test_minimize_scores_a_quadratic_in_one_step():
         return 0.5 * d @ hessian @ d, hessian @ d, hessian, None
 
     result = minimize(quadratic, np.zeros(2))
-    assert result.success and result.message == "step below xatol"
+    assert result.success and result.message == "predicted decrease below tolerance"
     assert np.abs(result.x - center).max() < 1e-12
     assert result.nit == 1 and result.nfev == 2
+
+
+def test_minimize_stops_before_a_step_that_predicts_no_decrease():
+    # the step of 1e-7 is above the old step bound of 1e-9, but the decrease
+    # it predicts, 1e-14, is below the tolerance
+    center = np.array([1e-7, 0.0])
+
+    def quadratic(x):
+        d = x - center
+        return 0.5 * d @ d, d, np.eye(2), None
+
+    assert DECREASE_TOL > 1e-14
+    result = minimize(quadratic, np.zeros(2))
+    assert result.success and result.message == "predicted decrease below tolerance"
+    assert result.nfev == 1 and result.nit == 0
+    assert np.array_equal(result.x, [0.0, 0.0])
+
+
+def test_minimize_halves_a_step_that_crosses_a_wall():
+    # the information is half the curvature, so the full step overshoots the
+    # minimum at 1 by as much again; beyond 1.5 the objective is +inf
+    evaluated = []
+
+    def walled(x):
+        evaluated.append(float(x[0]))
+        if x[0] > 1.5:
+            return np.inf, None, None, None
+        d = x - 1.0
+        return 0.5 * d @ d, d, np.array([[0.5]]), None
+
+    result = minimize(walled, np.zeros(1))
+    assert evaluated == [0.0, 2.0, 1.0]
+    assert result.success and result.message == "predicted decrease below tolerance"
+    assert result.nit == 1 and result.nfev == 3 and result.x[0] == 1.0
+
+
+def test_minimize_halves_the_predicted_decrease_with_the_step():
+    # the full step predicts 4.5e-14, just above the tolerance, and crosses
+    # the wall; its half predicts 2.25e-14 and is never evaluated
+    start = 1.0 - 1.5e-7
+
+    def walled(x):
+        if x[0] > 1.0 + 1e-7:
+            return np.inf, None, None, None
+        d = x - 1.0
+        return 0.5 * d @ d, d, np.array([[0.5]]), None
+
+    assert 2.25e-14 < DECREASE_TOL < 4.5e-14
+    result = minimize(walled, np.array([start]))
+    assert result.success and result.message == "predicted decrease below tolerance"
+    assert result.nit == 0 and result.nfev == 2 and result.x[0] == start
+
+
+def _test_06_fits(theta, trials=20):
+    """Fits of test_06's protocol: point A, 1e5 shots, cutoff 16, eta1, eta2
+    and r free and started at the truth, one fixed stream per trial."""
+    for trial in range(trials):
+        hist = sample_shots(theta, 10**5, 16, seed=0, stream=trial)
+        yield hist, fit(hist, theta, free=("eta1", "eta2", "r"), n_starts=1, seed=0)
+
+
+def test_fit_stops_without_evaluating_past_convergence(theta_a):
+    for _, result in _test_06_fits(theta_a):
+        assert result.converged
+        assert result.evaluations <= 5
+
+
+def test_fit_agrees_with_scoring_to_the_step_bound(theta_a, monkeypatch):
+    for hist, result in _test_06_fits(theta_a):
+        with monkeypatch.context() as patch:
+            patch.setattr(mle, "minimize", scoring_to_xatol)
+            oracle = fit(hist, theta_a, free=result.free, n_starts=1, seed=0)
+        assert oracle.converged
+        shift = result.theta_hat.values(result.free) - oracle.theta_hat.values(result.free)
+        assert np.all(np.abs(shift) <= 1e-3 * np.sqrt(np.diag(result.covariance)))
 
 
 def test_fit_records_how_it_was_obtained(theta_a, tmp_path):
@@ -283,7 +360,7 @@ def test_fit_records_how_it_was_obtained(theta_a, tmp_path):
     result = fit(hist, theta_a, free=("eta1", "eta2", "r"), n_starts=2, seed=0)
     assert result.converged
     assert 0 < result.evaluations < 100
-    assert result.message == "step below xatol"
+    assert result.message == "predicted decrease below tolerance"
     assert len(result.start_objectives) == 2
     assert result.objective == min(result.start_objectives)
 
